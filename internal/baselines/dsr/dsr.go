@@ -160,8 +160,10 @@ func (s *System) invalidateOtherL1s(core int, gl mem.GlobalLine) {
 // --- one DSR level ----------------------------------------------------------
 
 type level struct {
-	slices        []*cache.Slice
-	present       map[mem.GlobalLine]uint32
+	slices []*cache.Slice
+	// present maps a line to the bitmask of slices holding it. Every key
+	// names a line some slice holds, so the level's line capacity bounds it.
+	present       *hierarchy.PresenceIndex
 	psel          []int // > mid: spilling wins
 	opts          Options
 	local, remote int
@@ -171,7 +173,7 @@ type level struct {
 
 func newLevel(cores int, cfg cache.Config, local, remote int, opts Options) *level {
 	lv := &level{
-		present: make(map[mem.GlobalLine]uint32),
+		present: hierarchy.NewPresenceIndex(cores * cfg.SizeBytes / mem.LineSize),
 		psel:    make([]int, cores),
 		opts:    opts,
 		local:   local, remote: remote,
@@ -224,7 +226,7 @@ func (lv *level) access(core int, gl mem.GlobalLine, write bool) (int, bool, boo
 		}
 	}
 	// Snoop peers for a spilled or replicated copy.
-	mask := lv.present[gl] &^ (1 << uint(core))
+	mask := lv.present.Get(gl) &^ (1 << uint(core))
 	if mask != 0 {
 		peer := bits.TrailingZeros32(mask)
 		if w := lv.slices[peer].Access(gl.ASID, gl.Line, write); w >= 0 {
@@ -239,12 +241,18 @@ func (lv *level) access(core int, gl mem.GlobalLine, write bool) (int, bool, boo
 // to a receiver peer instead of being dropped.
 func (lv *level) fill(core int, gl mem.GlobalLine, dirty bool) {
 	old := lv.slices[core].Insert(gl.ASID, gl.Line, dirty)
-	lv.present[gl] |= 1 << uint(core)
+	// Clear the victim's bit before adding the new line's, so the index
+	// never holds more keys than the slices hold lines. The two keys
+	// differ (fill runs only after the local slice missed), so the order
+	// is unobservable.
+	ogl := mem.GlobalLine{ASID: old.ASID, Line: old.Line}
+	if old.Valid {
+		lv.present.Clear(ogl, 1<<uint(core))
+	}
+	lv.present.Or(gl, 1<<uint(core))
 	if !old.Valid {
 		return
 	}
-	ogl := mem.GlobalLine{ASID: old.ASID, Line: old.Line}
-	lv.clearPresent(ogl, core)
 
 	set := lv.slices[core].SetIndex(old.Line)
 	spill := lv.isSpiller(core)
@@ -259,10 +267,12 @@ func (lv *level) fill(core int, gl mem.GlobalLine, dirty bool) {
 	}
 	if r, ok := lv.pickReceiver(core); ok {
 		spilledOut := lv.slices[r].Insert(old.ASID, old.Line, old.Dirty)
-		lv.present[ogl] |= 1 << uint(r)
+		// As above; the spilled line is in no other slice, so it differs
+		// from the receiver's displaced line.
 		if spilledOut.Valid {
-			lv.clearPresent(mem.GlobalLine{ASID: spilledOut.ASID, Line: spilledOut.Line}, r)
+			lv.present.Clear(mem.GlobalLine{ASID: spilledOut.ASID, Line: spilledOut.Line}, 1<<uint(r))
 		}
+		lv.present.Or(ogl, 1<<uint(r))
 	}
 }
 
@@ -280,7 +290,7 @@ func (lv *level) pickReceiver(except int) (int, bool) {
 }
 
 func (lv *level) setDirty(gl mem.GlobalLine) bool {
-	for m := lv.present[gl]; m != 0; m &= m - 1 {
+	for m := lv.present.Get(gl); m != 0; m &= m - 1 {
 		sl := bits.TrailingZeros32(m)
 		if w := lv.slices[sl].Lookup(gl.ASID, gl.Line); w >= 0 {
 			lv.slices[sl].SetDirty(lv.slices[sl].SetIndex(gl.Line), w)
@@ -291,18 +301,10 @@ func (lv *level) setDirty(gl mem.GlobalLine) bool {
 }
 
 func (lv *level) invalidateExcept(core int, gl mem.GlobalLine) {
-	for m := lv.present[gl] &^ (1 << uint(core)); m != 0; m &= m - 1 {
+	for m := lv.present.Get(gl) &^ (1 << uint(core)); m != 0; m &= m - 1 {
 		sl := bits.TrailingZeros32(m)
 		lv.slices[sl].Invalidate(gl.ASID, gl.Line)
-		lv.clearPresent(gl, sl)
-	}
-}
-
-func (lv *level) clearPresent(gl mem.GlobalLine, slice int) {
-	if v := lv.present[gl] &^ (1 << uint(slice)); v == 0 {
-		delete(lv.present, gl)
-	} else {
-		lv.present[gl] = v
+		lv.present.Clear(gl, 1<<uint(sl))
 	}
 }
 

@@ -42,8 +42,8 @@ func TestSpillToReceiver(t *testing.T) {
 	}
 	// The victim of the overflow must now live in some peer slice.
 	victim := mem.GlobalLine{ASID: 1, Line: 1}
-	if lv.present[victim]&^1 == 0 {
-		t.Fatalf("victim not spilled: mask %#x", lv.present[victim])
+	if lv.present.Get(victim)&^1 == 0 {
+		t.Fatalf("victim not spilled: mask %#x", lv.present.Get(victim))
 	}
 	// And a local miss finds it remotely at the remote latency.
 	cost, remote, ok := lv.access(0, victim, false)
@@ -61,8 +61,8 @@ func TestNoSpillWhenReceiver(t *testing.T) {
 		lv.fill(0, mem.GlobalLine{ASID: 1, Line: mem.Line(1 + i*16)}, false)
 	}
 	victim := mem.GlobalLine{ASID: 1, Line: 1}
-	if lv.present[victim] != 0 {
-		t.Fatalf("receiver's victim should be dropped, mask %#x", lv.present[victim])
+	if lv.present.Get(victim) != 0 {
+		t.Fatalf("receiver's victim should be dropped, mask %#x", lv.present.Get(victim))
 	}
 }
 
@@ -92,8 +92,8 @@ func TestWriteInvalidatesPeers(t *testing.T) {
 	s.Access(0, w, 0)
 	// Peer copies at both levels must be gone.
 	gl := a.Global()
-	if s.l2.present[gl]&^1 != 0 || s.l3.present[gl]&^1 != 0 {
-		t.Fatalf("peer copies survive a write: L2 %#x L3 %#x", s.l2.present[gl], s.l3.present[gl])
+	if s.l2.present.Get(gl)&^1 != 0 || s.l3.present.Get(gl)&^1 != 0 {
+		t.Fatalf("peer copies survive a write: L2 %#x L3 %#x", s.l2.present.Get(gl), s.l3.present.Get(gl))
 	}
 }
 
@@ -122,28 +122,47 @@ func TestSystemEndToEnd(t *testing.T) {
 
 func TestPresentMaskConsistency(t *testing.T) {
 	lv := newLevelT()
-	// Random fills and accesses must keep present masks matching contents.
+	// Random fills, accesses and write invalidations must keep the
+	// presence index structurally sound and its masks equal to the slice
+	// contents, key for key.
 	for i := 0; i < 20000; i++ {
 		core := i % 4
-		gl := mem.GlobalLine{ASID: mem.ASID(core + 1), Line: mem.Line((i * 7) % 256)}
-		if _, _, ok := lv.access(core, gl, i%5 == 0); !ok {
+		gl := mem.GlobalLine{ASID: mem.ASID(i%2 + 1), Line: mem.Line((i * 7) % 256)}
+		write := i%5 == 0
+		if _, _, ok := lv.access(core, gl, write); !ok {
 			lv.fill(core, gl, false)
 		}
+		if write {
+			lv.invalidateExcept(core, gl)
+		}
+		if i%500 == 0 || i == 19999 {
+			checkPresence(t, lv)
+		}
+	}
+}
+
+// checkPresence compares the level's presence index with its slices.
+func checkPresence(t *testing.T, lv *level) {
+	t.Helper()
+	if err := lv.present.Check(); err != nil {
+		t.Fatal(err)
 	}
 	counts := map[mem.GlobalLine]uint32{}
 	for i, sl := range lv.slices {
 		sl.ForEachValid(func(_, _ int, e cache.Entry) {
-			counts[mem.GlobalLine{ASID: e.ASID, Line: e.Line}] |= 1 << uint(i)
+			gl := mem.GlobalLine{ASID: e.ASID, Line: e.Line}
+			if counts[gl] != 0 {
+				t.Fatalf("%+v held by slices %#x and %d", gl, counts[gl], i)
+			}
+			counts[gl] |= 1 << uint(i)
 		})
 	}
-	for gl, mask := range counts {
-		if lv.present[gl] != mask {
-			t.Fatalf("mask mismatch for %+v: %#x vs %#x", gl, lv.present[gl], mask)
-		}
+	if lv.present.Len() != len(counts) {
+		t.Fatalf("index holds %d lines, slices hold %d", lv.present.Len(), len(counts))
 	}
-	for gl, mask := range lv.present {
-		if counts[gl] != mask {
-			t.Fatalf("stale mask for %+v", gl)
+	for gl, mask := range counts {
+		if got := lv.present.Get(gl); got != mask {
+			t.Fatalf("mask mismatch for %+v: %#x vs %#x", gl, got, mask)
 		}
 	}
 }

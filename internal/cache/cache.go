@@ -150,9 +150,20 @@ type Slice struct {
 	// uint64 per set (sufficient for ways <= 64).
 	plru []uint64
 	// rrpv holds the 2-bit SRRIP re-reference prediction per entry.
-	rrpv  []uint8
-	clock *Clock
-	stats Stats
+	rrpv []uint8
+	// lruWay[set] is one more than the way the last timestamp scan of the
+	// set chose, or 0 when unknown. While the set stays full, that way
+	// stays its oldest: stamps only grow, so only a touch of the way
+	// itself (which resets the entry) can change the answer. An
+	// invalidation empties a way, and VictimWay answers from FreeWay until
+	// the refill, whose touch resets the entry if it was that way.
+	// SetDisabledWays changes which ways count and resets every entry. A
+	// merged group's spill loop asks each member for the same set's victim
+	// on every fill, and this turns the repeat asks into one load
+	// (DESIGN.md §11).
+	lruWay []uint8
+	clock  *Clock
+	stats  Stats
 	// disabled is the number of failed ways (fault injection): ways
 	// [ways-disabled, ways) hold no data and are skipped by every lookup
 	// and victim scan, shrinking effective associativity. Zero on a
@@ -174,6 +185,7 @@ func New(cfg Config) *Slice {
 		policy:  cfg.Policy,
 		entries: make([]Entry, sets*cfg.Ways),
 		occ:     make([]uint64, sets),
+		lruWay:  make([]uint8, sets),
 		clock:   &Clock{},
 	}
 	if cfg.Policy == TreePLRU {
@@ -233,6 +245,7 @@ func (s *Slice) SetDisabledWays(n int) []Entry {
 		}
 	}
 	s.disabled = n
+	clear(s.lruWay)
 	return dropped
 }
 
@@ -244,8 +257,15 @@ func (s *Slice) Stats() *Stats { return &s.stats }
 
 // ShareClock makes the slice stamp LastUse from the given shared clock.
 // All slices of one reconfigurable level must share a clock so that
-// cross-slice LRU comparisons in merged groups are meaningful.
-func (s *Slice) ShareClock(c *Clock) { s.clock = c }
+// cross-slice LRU comparisons in merged groups are meaningful. The shared
+// clock is first advanced past the slice's own, so stamps the slice hands
+// out stay above every stamp it already holds.
+func (s *Slice) ShareClock(c *Clock) {
+	if c.now < s.clock.now {
+		c.now = s.clock.now
+	}
+	s.clock = c
+}
 
 // SetIndex maps a line address to its set. All slices of equal set count map
 // a line to the same index, which is what makes union-of-sets merging work.
@@ -278,6 +298,9 @@ func (s *Slice) Lookup(asid mem.ASID, line mem.Line) int {
 func (s *Slice) Touch(set, way int) {
 	e := s.entry(set, way)
 	e.LastUse = s.clock.Tick()
+	if int(s.lruWay[set]) == way+1 {
+		s.lruWay[set] = 0
+	}
 	switch s.policy {
 	case TreePLRU:
 		s.plruTouch(set, way)
@@ -333,6 +356,9 @@ func (s *Slice) VictimWay(line mem.Line) int {
 	case SRRIP:
 		return s.srripVictim(set)
 	}
+	if w := s.lruWay[set]; w > 0 {
+		return int(w) - 1
+	}
 	base := set * s.ways
 	victim, oldest := 0, s.entries[base].LastUse
 	for w := 1; w < s.ways-s.disabled; w++ {
@@ -340,6 +366,7 @@ func (s *Slice) VictimWay(line mem.Line) int {
 			victim, oldest = w, u
 		}
 	}
+	s.lruWay[set] = uint8(victim + 1)
 	return victim
 }
 

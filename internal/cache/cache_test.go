@@ -388,3 +388,63 @@ func TestWays64Limit(t *testing.T) {
 		t.Fatalf("64 ways should be valid: %v", err)
 	}
 }
+
+// scanVictim is the timestamp scan VictimWay memoizes: the lowest-index
+// way with the smallest LastUse among the enabled ways.
+func scanVictim(s *Slice, set int) int {
+	victim := 0
+	for w := 1; w < s.EffectiveWays(); w++ {
+		if s.Entry(set, w).LastUse < s.Entry(set, victim).LastUse {
+			victim = w
+		}
+	}
+	return victim
+}
+
+// TestVictimMemoMatchesScan runs random Touch, InsertAt, Invalidate,
+// SetDisabledWays, Flush and ShareClock sequences and, after every
+// operation, checks that VictimWay on each full set equals a fresh
+// timestamp scan. Under tree-PLRU only the disabled-way fallback uses the
+// scan, so that policy is checked while ways are disabled.
+func TestVictimMemoMatchesScan(t *testing.T) {
+	for _, pol := range []Policy{LRU, TreePLRU} {
+		r := rng.New(uint64(pol) + 5)
+		s := New(Config{SizeBytes: 4 * 8 * mem.LineSize, Ways: 8, Policy: pol})
+		for op := 0; op < 20000; op++ {
+			set, way := r.Intn(s.Sets()), r.Intn(s.EffectiveWays())
+			line := mem.Line(r.Intn(64)*s.Sets() + set)
+			switch k := r.Intn(100); {
+			case k < 35:
+				if s.Entry(set, way).Valid {
+					s.Touch(set, way)
+				}
+			case k < 75:
+				if s.Lookup(1, line) < 0 {
+					s.InsertAt(set, s.VictimWay(line), 1, line, false)
+				}
+			case k < 80:
+				s.InsertAt(set, way, 1, line, false)
+			case k < 95:
+				s.InvalidateWay(set, way)
+			case k < 98:
+				s.SetDisabledWays(r.Intn(4))
+			case k < 99:
+				s.Flush()
+			default:
+				s.ShareClock(&Clock{})
+			}
+			if pol == TreePLRU && s.DisabledWays() == 0 {
+				continue
+			}
+			for set := 0; set < s.Sets(); set++ {
+				line := mem.Line(set)
+				if s.FreeWay(line) >= 0 {
+					continue
+				}
+				if got, want := s.VictimWay(line), scanVictim(s, set); got != want {
+					t.Fatalf("%v op %d set %d: VictimWay %d, scan %d", pol, op, set, got, want)
+				}
+			}
+		}
+	}
+}

@@ -464,15 +464,23 @@ func (s *System) backInvalidateL1(slice int, gl mem.GlobalLine) {
 // write by core c removes copies of the line from all other cores' L1s and
 // from L2/L3 slices outside c's groups. Split groups replicating shared
 // data therefore keep paying this cost; merged groups hold one copy (§2.1).
+//
+// Only the L1s that can hold the line are probed: under inclusion (L1 ⊆
+// L2 group) an L1 copy on core d implies an L2 copy in some slice of d's
+// L2 group, so the candidates are the union of the L2 groups of the
+// slices holding the line at L2, minus the writer (DESIGN.md §11).
 func (s *System) writeInvalidateOthers(core int, gl mem.GlobalLine) {
-	for c := range s.l1 {
-		if c != core {
-			if e := s.l1[c].Invalidate(gl.ASID, gl.Line); e.Valid {
-				s.stats.CoherenceInv++
-			}
+	l2 := s.presL2.Get(gl)
+	var sharers uint32
+	for m := l2; m != 0; m &= m - 1 {
+		sharers |= s.groupMaskL2[bits.TrailingZeros32(m)]
+	}
+	for m := sharers &^ (1 << uint(core)); m != 0; m &= m - 1 {
+		if e := s.l1[bits.TrailingZeros32(m)].Invalidate(gl.ASID, gl.Line); e.Valid {
+			s.stats.CoherenceInv++
 		}
 	}
-	for m := s.presL2.Get(gl) &^ s.groupSliceMask(L2, core); m != 0; m &= m - 1 {
+	for m := l2 &^ s.groupSliceMask(L2, core); m != 0; m &= m - 1 {
 		sl := bits.TrailingZeros32(m)
 		s.stats.CoherenceInv++
 		s.invalidateAt(L2, sl, gl, true)

@@ -3,6 +3,7 @@ package hierarchy
 import (
 	"testing"
 
+	"morphcache/internal/fault"
 	"morphcache/internal/mem"
 	"morphcache/internal/rng"
 	"morphcache/internal/topology"
@@ -252,8 +253,10 @@ func TestReconfigEnforcesInclusion(t *testing.T) {
 }
 
 func TestInclusionInvariantUnderRandomOps(t *testing.T) {
-	// Property: arbitrary interleavings of accesses and legal reconfigs
-	// preserve inclusion and present-mask consistency.
+	// Property: arbitrary interleavings of accesses, legal reconfigs and
+	// way-disable faults preserve inclusion and present-mask consistency,
+	// and a write leaves the line in no other core's L1 (the coherence
+	// action probes only the L1s inclusion allows to hold it).
 	p := ScaledDefault(4, 16)
 	p.ChargeRemote = true
 	s, err := New(p, topology.AllPrivate(4))
@@ -287,9 +290,25 @@ func TestInclusionInvariantUnderRandomOps(t *testing.T) {
 			}
 			s.Access(c, a, now)
 			now += 30
+			if a.Kind == mem.Write {
+				for o := 0; o < 4; o++ {
+					if o != c && s.L1Cache(o).Lookup(a.ASID, a.Line) >= 0 {
+						t.Fatalf("step %d (%v): write by core %d left %v in core %d's L1", step, topo.Spec(), c, a.Line, o)
+					}
+				}
+			}
 		}
 		if err := s.CheckInclusion(); err != nil {
 			t.Fatalf("step %d (%v): %v", step, topo.Spec(), err)
+		}
+		if step%3 == 0 {
+			ev := fault.Event{Kind: fault.WayDisable, Level: 2 + r.Intn(2), Slice: r.Intn(4), Ways: 1}
+			if err := s.ApplyFault(ev); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.CheckInclusion(); err != nil {
+				t.Fatalf("step %d after %v: %v", step, ev, err)
+			}
 		}
 	}
 }

@@ -15,6 +15,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"morphcache/internal/core"
 	"morphcache/internal/fault"
@@ -290,6 +291,7 @@ func (e *Engine) Run() *metrics.Run {
 	gap := float64(e.cfg.GapInstr) / e.cfg.IssueWidth
 	gapWhole := uint64(gap)
 	gapFrac := gap - float64(gapWhole)
+	lag := newLaggards(e.clock)
 
 	// Telemetry: inject the recorder into the target (so the policy can
 	// emit reconfiguration events) and baseline the cumulative counters.
@@ -358,15 +360,10 @@ func (e *Engine) Run() *metrics.Run {
 			}
 		}
 		spec := e.target.Spec()
+		lag.reset(epochEnd)
 		for {
 			// Advance the laggard core still inside the epoch.
-			core := -1
-			var minClock uint64
-			for c := 0; c < n; c++ {
-				if e.clock[c] < epochEnd && (core < 0 || e.clock[c] < minClock) {
-					core, minClock = c, e.clock[c]
-				}
-			}
+			core := lag.next()
 			if core < 0 {
 				break
 			}
@@ -386,6 +383,7 @@ func (e *Engine) Run() *metrics.Run {
 			}
 			e.clock[core] += charge + uint64(res.Latency)
 			instr[core] += uint64(e.cfg.GapInstr)
+			lag.update(core)
 		}
 
 		measured := off >= e.cfg.WarmupEpochs
@@ -435,6 +433,86 @@ func (e *Engine) Run() *metrics.Run {
 		run.PerCoreIPC[c] = float64(totalInstr[c]) / measuredCycles
 	}
 	return run
+}
+
+// laggards is a tournament tree over the core clocks that names the core
+// to advance next: the one with the smallest clock still before the epoch
+// end, the lowest index among equal clocks. Leaves are cores in index
+// order, each inner node holds the winner of its two children, and a core
+// at or past the end plays with an infinite clock. Ties go to the left
+// child, whose cores all have lower indices, so the root is the minimum
+// of the lexicographic order on (clock, index): exactly the core the
+// linear scan over all clocks would pick. Advancing a core changes only
+// its own leaf, so replaying the matches on its path to the root restores
+// every node (DESIGN.md §11).
+type laggards struct {
+	clock []uint64
+	end   uint64
+	// node[1] is the root, node i has children 2i and 2i+1, and core c's
+	// leaf is node size+c; padding leaves past the last core never win.
+	node []lagNode
+	size int
+}
+
+// lagNode is a match winner: its core and the clock it played with.
+type lagNode struct {
+	clock uint64 // math.MaxUint64 once the core reached the epoch end
+	core  int
+}
+
+func newLaggards(clock []uint64) *laggards {
+	size := 1
+	for size < len(clock) {
+		size <<= 1
+	}
+	return &laggards{clock: clock, node: make([]lagNode, 2*size), size: size}
+}
+
+// reset replays every match for a new epoch end.
+func (t *laggards) reset(end uint64) {
+	t.end = end
+	for c := 0; c < t.size; c++ {
+		t.node[t.size+c] = lagNode{clock: math.MaxUint64, core: -1}
+		if c < len(t.clock) {
+			t.setLeaf(c)
+		}
+	}
+	for i := t.size - 1; i >= 1; i-- {
+		t.match(i)
+	}
+}
+
+func (t *laggards) setLeaf(c int) {
+	k := t.clock[c]
+	if k >= t.end {
+		k = math.MaxUint64
+	}
+	t.node[t.size+c] = lagNode{clock: k, core: c}
+}
+
+func (t *laggards) match(i int) {
+	l, r := t.node[2*i], t.node[2*i+1]
+	if r.clock < l.clock {
+		l = r
+	}
+	t.node[i] = l
+}
+
+// update replays the matches above core c after its clock changed.
+func (t *laggards) update(c int) {
+	t.setLeaf(c)
+	for i := (t.size + c) / 2; i >= 1; i /= 2 {
+		t.match(i)
+	}
+}
+
+// next returns the core to advance next, or -1 when every core has reached
+// the epoch end.
+func (t *laggards) next() int {
+	if w := t.node[1]; w.clock != math.MaxUint64 {
+		return w.core
+	}
+	return -1
 }
 
 // epochRecord assembles one epoch's telemetry record, diffing the target's
