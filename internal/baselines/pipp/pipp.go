@@ -166,7 +166,6 @@ func (s *System) fillLevel(lv *level, core int, gl mem.GlobalLine, dirty bool) {
 		if lv == s.l2 {
 			s.l3.setDirty(vgl) // best effort; counts as memory writeback otherwise
 		}
-		_ = vgl
 	}
 }
 
@@ -194,11 +193,15 @@ type level struct {
 	entries           []entry    // sets*ways
 	stack             [][]uint16 // per set, MRU first
 	pos               [][]uint16 // per set: way -> stack index
-	lookup            []map[mem.GlobalLine]uint16
-	alloc             []int // π_i per core
-	mon               []*umon
-	streaming         []bool
-	opts              Options
+	// where maps each resident line to its way plus one, in its owner
+	// word: a line is added once with Or and removed with Clear of the same
+	// word. A line sits in one way of one set, so the index needs no more
+	// keys than the level has lines.
+	where     *hierarchy.PresenceIndex
+	alloc     []int // π_i per core
+	mon       []*umon
+	streaming []bool
+	opts      Options
 }
 
 func newLevel(cores, sets, ways int, opts Options) *level {
@@ -214,11 +217,11 @@ func newLevel(cores, sets, ways int, opts Options) *level {
 		cores: cores, sets: sets, ways: ways,
 		setMask: uint64(sets - 1),
 		entries: make([]entry, sets*ways),
+		where:   hierarchy.NewPresenceIndex(sets * ways),
 		opts:    opts,
 	}
 	lv.stack = make([][]uint16, sets)
 	lv.pos = make([][]uint16, sets)
-	lv.lookup = make([]map[mem.GlobalLine]uint16, sets)
 	for s := range lv.stack {
 		lv.stack[s] = make([]uint16, ways)
 		lv.pos[s] = make([]uint16, ways)
@@ -226,7 +229,6 @@ func newLevel(cores, sets, ways int, opts Options) *level {
 			lv.stack[s][w] = uint16(w)
 			lv.pos[s][w] = uint16(w)
 		}
-		lv.lookup[s] = make(map[mem.GlobalLine]uint16)
 	}
 	lv.alloc = make([]int, cores)
 	lv.streaming = make([]bool, cores)
@@ -245,12 +247,12 @@ func (lv *level) set(gl mem.GlobalLine) int { return int(uint64(gl.Line) & lv.se
 // hit looks the line up; on a hit it applies single-step promotion and
 // returns true.
 func (lv *level) hit(core int, gl mem.GlobalLine, write bool, r *rng.Stream) bool {
-	set := lv.set(gl)
-	w, ok := lv.lookup[set][gl]
-	if !ok {
+	w1 := lv.where.Get(gl)
+	if w1 == 0 {
 		return false
 	}
-	e := &lv.entries[set*lv.ways+int(w)]
+	set, w := lv.set(gl), int(w1-1)
+	e := &lv.entries[set*lv.ways+w]
 	if write {
 		e.dirty = true
 	}
@@ -267,24 +269,22 @@ func (lv *level) hit(core int, gl mem.GlobalLine, write bool, r *rng.Stream) boo
 		if step < 1 {
 			step = 1
 		}
-		target := pos - step
-		if target < 0 {
-			target = 0
-		}
-		for pos > target {
-			lv.swap(set, pos, pos-1)
-			pos--
-		}
+		lv.raise(set, pos, max(pos-step, 0))
 	}
 	return true
 }
 
-// swap exchanges two stack positions of a set.
-func (lv *level) swap(set, i, j int) {
+// raise moves the way at stack position from up to position to (to <=
+// from), shifting the ways in between one position toward the LRU end:
+// the rotation a chain of adjacent swaps from from down to to makes.
+func (lv *level) raise(set, from, to int) {
 	st, pos := lv.stack[set], lv.pos[set]
-	st[i], st[j] = st[j], st[i]
-	pos[st[i]] = uint16(i)
-	pos[st[j]] = uint16(j)
+	w := st[from]
+	copy(st[to+1:from+1], st[to:from])
+	st[to] = w
+	for i := to; i <= from; i++ {
+		pos[st[i]] = uint16(i)
+	}
 }
 
 // insert places the core's line at stack priority π_core from the LRU end,
@@ -296,10 +296,10 @@ func (lv *level) insert(core int, gl mem.GlobalLine, dirty bool) (victim entry, 
 	e := &lv.entries[set*lv.ways+int(w)]
 	if e.valid {
 		victim, hadVictim = *e, true
-		delete(lv.lookup[set], mem.GlobalLine{ASID: e.asid, Line: e.line})
+		lv.where.Clear(mem.GlobalLine{ASID: e.asid, Line: e.line}, uint32(w)+1)
 	}
 	*e = entry{valid: true, dirty: dirty, asid: gl.ASID, line: gl.Line, owner: uint8(core)}
-	lv.lookup[set][gl] = w
+	lv.where.Or(gl, uint32(w)+1)
 
 	// Insertion priority: the PIPP paper's π_i is the core's allocation in
 	// a 16-way cache, i.e., 1/16th-granular stack depth. The merged
@@ -319,18 +319,14 @@ func (lv *level) insert(core int, gl mem.GlobalLine, dirty bool) (victim entry, 
 		pi = lv.ways
 	}
 	// Move the newly filled way from the LRU end to position ways-pi.
-	target := lv.ways - pi
-	for i := lv.ways - 1; i > target; i-- {
-		lv.swap(set, i, i-1)
-	}
+	lv.raise(set, lv.ways-1, lv.ways-pi)
 	return victim, hadVictim
 }
 
 // setDirty marks the line dirty if present.
 func (lv *level) setDirty(gl mem.GlobalLine) bool {
-	set := lv.set(gl)
-	if w, ok := lv.lookup[set][gl]; ok {
-		lv.entries[set*lv.ways+int(w)].dirty = true
+	if w1 := lv.where.Get(gl); w1 != 0 {
+		lv.entries[lv.set(gl)*lv.ways+int(w1-1)].dirty = true
 		return true
 	}
 	return false
@@ -339,10 +335,9 @@ func (lv *level) setDirty(gl mem.GlobalLine) bool {
 // invalidate removes the line if present (coherence writes from DSR-style
 // sharing are not modeled here: one shared cache has one copy).
 func (lv *level) invalidate(gl mem.GlobalLine) {
-	set := lv.set(gl)
-	if w, ok := lv.lookup[set][gl]; ok {
-		lv.entries[set*lv.ways+int(w)] = entry{}
-		delete(lv.lookup[set], gl)
+	if w1 := lv.where.Get(gl); w1 != 0 {
+		lv.entries[lv.set(gl)*lv.ways+int(w1-1)] = entry{}
+		lv.where.Clear(gl, w1)
 	}
 }
 

@@ -158,12 +158,22 @@ type Slice struct {
 	// invalidation empties a way, and VictimWay answers from FreeWay until
 	// the refill, whose touch resets the entry if it was that way.
 	// SetDisabledWays changes which ways count and resets every entry. A
-	// merged group's spill loop asks each member for the same set's victim
-	// on every fill, and this turns the repeat asks into one load
-	// (DESIGN.md §11).
+	// merged group's spill choice needs each member's victim of the same
+	// set on every fill, and this memo, published in the age row, turns
+	// those asks into one load (DESIGN.md §11).
 	lruWay []uint8
-	clock  *Clock
-	stats  Stats
+	// freeRow and ageRow, when set by ShareRows, are the level-wide spill
+	// summaries this slice publishes into: bit rowBit of freeRow[set] is
+	// set iff FreeWay finds a free way in the set, and
+	// ageRow[set*rowStride+rowIdx] is the LastUse of the way lruWay
+	// memoises (0 while the memo is unknown). Both change exactly where occ
+	// and lruWay do. Nil on slices outside a reconfigurable level.
+	freeRow           []uint32
+	ageRow            []uint64
+	rowBit            uint32
+	rowIdx, rowStride int
+	clock             *Clock
+	stats             Stats
 	// disabled is the number of failed ways (fault injection): ways
 	// [ways-disabled, ways) hold no data and are skipped by every lookup
 	// and victim scan, shrinking effective associativity. Zero on a
@@ -246,6 +256,7 @@ func (s *Slice) SetDisabledWays(n int) []Entry {
 	}
 	s.disabled = n
 	clear(s.lruWay)
+	s.publishRows()
 	return dropped
 }
 
@@ -265,6 +276,47 @@ func (s *Slice) ShareClock(c *Clock) {
 		c.now = s.clock.now
 	}
 	s.clock = c
+}
+
+// ShareRows makes the slice publish its per-set spill summary into
+// level-wide rows shared by the slices of one reconfigurable level: bit
+// index of free[set] says the set has a free enabled way, and
+// age[set*stride+index] holds the LastUse stamp of the set's memoised LRU
+// victim, or 0 when no victim is memoised (always the case under
+// tree-PLRU with every way enabled, and under SRRIP). A merged group's
+// spill choice then reads one word and one row instead of asking every
+// member slice (DESIGN.md §11).
+func (s *Slice) ShareRows(free []uint32, age []uint64, index, stride int) {
+	s.freeRow, s.ageRow = free, age
+	s.rowBit, s.rowIdx, s.rowStride = 1<<uint(index), index, stride
+	s.publishRows()
+}
+
+// publishRows rewrites every set's entries in the shared rows.
+func (s *Slice) publishRows() {
+	if s.freeRow == nil {
+		return
+	}
+	for set := 0; set < s.sets; set++ {
+		s.syncFree(set)
+		age := uint64(0)
+		if w := s.lruWay[set]; w > 0 {
+			age = s.entries[set*s.ways+int(w)-1].LastUse
+		}
+		s.ageRow[set*s.rowStride+s.rowIdx] = age
+	}
+}
+
+// syncFree republishes the set's free bit after its occupancy changed.
+func (s *Slice) syncFree(set int) {
+	if s.freeRow == nil {
+		return
+	}
+	if ^s.occ[set]&(1<<uint(s.ways-s.disabled)-1) != 0 {
+		s.freeRow[set] |= s.rowBit
+	} else {
+		s.freeRow[set] &^= s.rowBit
+	}
 }
 
 // SetIndex maps a line address to its set. All slices of equal set count map
@@ -300,6 +352,9 @@ func (s *Slice) Touch(set, way int) {
 	e.LastUse = s.clock.Tick()
 	if int(s.lruWay[set]) == way+1 {
 		s.lruWay[set] = 0
+		if s.ageRow != nil {
+			s.ageRow[set*s.rowStride+s.rowIdx] = 0
+		}
 	}
 	switch s.policy {
 	case TreePLRU:
@@ -367,6 +422,9 @@ func (s *Slice) VictimWay(line mem.Line) int {
 		}
 	}
 	s.lruWay[set] = uint8(victim + 1)
+	if s.ageRow != nil {
+		s.ageRow[set*s.rowStride+s.rowIdx] = oldest
+	}
 	return victim
 }
 
@@ -394,6 +452,7 @@ func (s *Slice) InsertAt(set, way int, asid mem.ASID, line mem.Line, dirty bool)
 	}
 	*e = Entry{Valid: true, Dirty: dirty, ASID: asid, Line: line}
 	s.occ[set] |= 1 << uint(way)
+	s.syncFree(set)
 	s.stats.Inserts++
 	s.Touch(set, way)
 	if s.policy == SRRIP {
@@ -426,6 +485,7 @@ func (s *Slice) InvalidateWay(set, way int) Entry {
 	old := *e
 	*e = Entry{}
 	s.occ[set] &^= 1 << uint(way)
+	s.syncFree(set)
 	return old
 }
 
@@ -439,9 +499,8 @@ func (s *Slice) Flush() int {
 			s.entries[i] = Entry{}
 		}
 	}
-	for i := range s.occ {
-		s.occ[i] = 0
-	}
+	clear(s.occ)
+	s.publishRows()
 	return n
 }
 

@@ -402,15 +402,31 @@ func scanVictim(s *Slice, set int) int {
 }
 
 // TestVictimMemoMatchesScan runs random Touch, InsertAt, Invalidate,
-// SetDisabledWays, Flush and ShareClock sequences and, after every
-// operation, checks that VictimWay on each full set equals a fresh
-// timestamp scan. Under tree-PLRU only the disabled-way fallback uses the
-// scan, so that policy is checked while ways are disabled.
+// SetDisabledWays, Flush and ShareClock sequences on three slices that
+// publish into one pair of spill rows and, after every operation, checks
+// the memo and the rows of every set of every slice:
+//   - VictimWay on a full set equals a fresh timestamp scan (under
+//     tree-PLRU only the disabled-way fallback uses the scan, and SRRIP
+//     never does, so those cases are skipped);
+//   - the free bit is set iff FreeWay finds a way;
+//   - a non-zero age entry of a full set equals VictimAge, and under SRRIP
+//     every entry is zero.
 func TestVictimMemoMatchesScan(t *testing.T) {
-	for _, pol := range []Policy{LRU, TreePLRU} {
+	const slices = 3
+	for _, pol := range []Policy{LRU, TreePLRU, SRRIP} {
 		r := rng.New(uint64(pol) + 5)
-		s := New(Config{SizeBytes: 4 * 8 * mem.LineSize, Ways: 8, Policy: pol})
+		cfg := Config{SizeBytes: 4 * 8 * mem.LineSize, Ways: 8, Policy: pol}
+		sets := cfg.Sets()
+		free, age := make([]uint32, sets), make([]uint64, sets*slices)
+		clock := &Clock{}
+		var ss [slices]*Slice
+		for i := range ss {
+			ss[i] = New(cfg)
+			ss[i].ShareClock(clock)
+			ss[i].ShareRows(free, age, i, slices)
+		}
 		for op := 0; op < 20000; op++ {
+			s := ss[r.Intn(slices)]
 			set, way := r.Intn(s.Sets()), r.Intn(s.EffectiveWays())
 			line := mem.Line(r.Intn(64)*s.Sets() + set)
 			switch k := r.Intn(100); {
@@ -433,16 +449,31 @@ func TestVictimMemoMatchesScan(t *testing.T) {
 			default:
 				s.ShareClock(&Clock{})
 			}
-			if pol == TreePLRU && s.DisabledWays() == 0 {
-				continue
-			}
-			for set := 0; set < s.Sets(); set++ {
-				line := mem.Line(set)
-				if s.FreeWay(line) >= 0 {
-					continue
-				}
-				if got, want := s.VictimWay(line), scanVictim(s, set); got != want {
-					t.Fatalf("%v op %d set %d: VictimWay %d, scan %d", pol, op, set, got, want)
+			for i, s := range ss {
+				for set := 0; set < sets; set++ {
+					line := mem.Line(set)
+					full := s.FreeWay(line) < 0
+					if bit := free[set]&(1<<uint(i)) != 0; bit == full {
+						t.Fatalf("%v op %d slice %d set %d: free bit %v, FreeWay %d", pol, op, i, set, bit, s.FreeWay(line))
+					}
+					a := age[set*slices+i]
+					if pol == SRRIP && a != 0 {
+						t.Fatalf("SRRIP op %d slice %d set %d: age %d, want 0", op, i, set, a)
+					}
+					if !full {
+						continue
+					}
+					if pol == LRU || pol == TreePLRU && s.DisabledWays() > 0 {
+						if got, want := s.VictimWay(line), scanVictim(s, set); got != want {
+							t.Fatalf("%v op %d slice %d set %d: VictimWay %d, scan %d", pol, op, i, set, got, want)
+						}
+					}
+					if a == 0 {
+						continue
+					}
+					if got, _ := s.VictimAge(line); got != a {
+						t.Fatalf("%v op %d slice %d set %d: age row %d, VictimAge %d", pol, op, i, set, a, got)
+					}
 				}
 			}
 		}

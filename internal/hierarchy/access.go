@@ -240,10 +240,12 @@ func (s *System) sliceAt(l Level, i int) *cache.Slice {
 	return s.l3[i]
 }
 
-// fillL1 installs the line in the requester's L1, crediting the eviction's
-// dirtiness to the L2 copy (which inclusion guarantees exists).
+// fillL1 installs the line in the requester's L1, adds the core to the L2
+// copy's sharer mask, and credits the eviction's dirtiness to the L2 copy
+// (which inclusion guarantees exists).
 func (s *System) fillL1(core int, a mem.Access, write bool) {
 	old := s.l1[core].Insert(a.ASID, a.Line, write)
+	s.presL2.Share(a.Global(), 1<<uint(core))
 	if old.Valid && old.Dirty {
 		ogl := mem.GlobalLine{ASID: old.ASID, Line: old.Line}
 		if mask := s.presL2.Get(ogl) & s.groupSliceMask(L2, core); mask != 0 {
@@ -297,14 +299,14 @@ func (s *System) fillGroup(l Level, core int, asid mem.ASID, line mem.Line, dirt
 	// distinct (fillGroup runs only on a group miss), so the swap is
 	// invisible.
 	vgl := mem.GlobalLine{ASID: victim.ASID, Line: victim.Line}
-	s.removePresent(l, core, vgl)
+	owners, sharers := s.pres(l).Clear(vgl, 1<<uint(core))
 	s.addPresent(l, core, gl)
 
 	// Merges leave duplicates in place until lazy invalidation resolves
 	// them; if another copy of the victim survives within the group there
 	// is nothing to spill (and spilling would double-insert the line into
 	// one slice). Dirtiness propagates to the surviving copy.
-	if mask := s.pres(l).Get(vgl) & s.groupSliceMask(l, core); mask != 0 {
+	if mask := owners & s.groupSliceMask(l, core); mask != 0 {
 		if victim.Dirty {
 			dup := bits.TrailingZeros32(mask)
 			dsl := s.sliceAt(l, dup)
@@ -317,30 +319,15 @@ func (s *System) fillGroup(l Level, core int, asid mem.ASID, line mem.Line, dirt
 
 	// Spill the displaced local victim into the group if another member has
 	// a free or older slot.
-	g := s.grouping(l)
-	members := g.Members(g.GroupOf(core))
-	target, targetAge, targetFree := -1, victim.LastUse, false
-	for _, m := range members {
-		if m == core {
-			continue
-		}
-		sl := s.sliceAt(l, m)
-		if w := sl.FreeWay(victim.Line); w >= 0 {
-			target, targetFree = m, true
-			break
-		}
-		if age, valid := sl.VictimAge(victim.Line); valid && age < targetAge {
-			target, targetAge = m, age
-		}
-	}
+	target, targetFree := s.spillTarget(l, core, set, victim.Line, victim.LastUse)
 	if target < 0 {
 		// The victim is the group's oldest (or the group is just this
 		// slice): it leaves the level.
-		s.dropEvicted(l, core, victim)
+		s.evicted(l, core, victim, sharers)
 		return core
 	}
 	tsl := s.sliceAt(l, target)
-	old := tsl.InsertAt(tsl.SetIndex(victim.Line), tsl.VictimWay(victim.Line), victim.ASID, victim.Line, victim.Dirty)
+	old := tsl.InsertAt(set, tsl.VictimWay(victim.Line), victim.ASID, victim.Line, victim.Dirty)
 	// As above: retire the displaced occupant's key before registering the
 	// spilled victim's, keeping the index within its capacity bound. The
 	// eviction handlers never consult the victim's own presence, so the
@@ -349,7 +336,50 @@ func (s *System) fillGroup(l Level, core int, asid mem.ASID, line mem.Line, dirt
 		s.dropEvicted(l, target, old)
 	}
 	s.addPresent(l, target, vgl)
+	// The victim stays in the group, and so may its L1 copies: carry the
+	// sharer mask over in case the clear above deleted the key.
+	if sharers != 0 {
+		s.presL2.Share(vgl, sharers)
+	}
 	return core
+}
+
+// spillTarget picks the member slice of the core's group that a victim
+// displaced from set of the core's slice spills into: the lowest member
+// with a free way in the set, else the member whose LRU victim is older
+// than age and oldest (the lowest on ties), else -1. free reports the
+// first case. It gives the answer of asking every member in ascending
+// order for FreeWay, stopping at the first free one, and for VictimAge,
+// but reads both from the level's rows (DESIGN.md §11): the free row
+// names every member with a free way at once, and the age row holds each
+// full member's victim stamp unless its slice memoises none.
+func (s *System) spillTarget(l Level, core, set int, line mem.Line, age uint64) (target int, free bool) {
+	others := s.groupSliceMask(l, core) &^ (1 << uint(core))
+	freeRow, ageRow := s.rows(l)
+	if f := freeRow[set] & others; f != 0 {
+		target = bits.TrailingZeros32(f)
+		if s.p.Policy == cache.SRRIP {
+			// An SRRIP victim search ages the set it searches, so the
+			// members ahead of the free one are still asked.
+			for m := others & (1<<uint(target) - 1); m != 0; m &= m - 1 {
+				s.sliceAt(l, bits.TrailingZeros32(m)).VictimAge(line)
+			}
+		}
+		return target, true
+	}
+	target = -1
+	row := ageRow[set*s.p.Cores : (set+1)*s.p.Cores]
+	for m := others; m != 0; m &= m - 1 {
+		sl := bits.TrailingZeros32(m)
+		a := row[sl]
+		if a == 0 {
+			a, _ = s.sliceAt(l, sl).VictimAge(line)
+		}
+		if a < age {
+			target, age = sl, a
+		}
+	}
+	return target, false
 }
 
 // migrate promotes a line that just hit in a remote member slice into the
@@ -368,27 +398,39 @@ func (s *System) migrate(l Level, core, from int, a mem.Access) {
 	if !e.Valid {
 		return
 	}
-	s.removePresent(l, from, a.Global())
+	gl := a.Global()
+	_, sharers := s.pres(l).Clear(gl, 1<<uint(from))
 	s.fillGroup(l, core, a.ASID, a.Line, e.Dirty)
+	// The line stays in the group, and so may its L1 copies: carry the
+	// sharer mask over in case the clear above deleted the key.
+	if sharers != 0 {
+		s.presL2.Share(gl, sharers)
+	}
 	s.stats.Migrations++
 }
 
-// dropEvicted routes an eviction to the level's handler.
+// dropEvicted clears an evicted entry's presence bit and routes it to the
+// level's handler.
 func (s *System) dropEvicted(l Level, slice int, e cache.Entry) {
+	_, sharers := s.pres(l).Clear(mem.GlobalLine{ASID: e.ASID, Line: e.Line}, 1<<uint(slice))
+	s.evicted(l, slice, e, sharers)
+}
+
+// evicted routes an eviction whose presence bit is already cleared to the
+// level's handler; sharers is the L1 sharer mask the line's L2 key held.
+func (s *System) evicted(l Level, slice int, e cache.Entry, sharers uint32) {
 	if l == L2 {
-		s.onL2Evict(slice, e)
+		s.onL2Evict(slice, e, sharers)
 	} else {
 		s.onL3Evict(slice, e)
 	}
 }
 
-// onL2Evict handles an L2 eviction: present-mask and ACFV bookkeeping,
-// back-invalidation of L1 copies beneath the slice, and dirty writeback to
-// the L3 copy under the slice's L3 group.
-func (s *System) onL2Evict(slice int, e cache.Entry) {
+// onL2Evict handles an L2 eviction: back-invalidation of L1 copies beneath
+// the slice, and dirty writeback to the L3 copy under the slice's L3 group.
+func (s *System) onL2Evict(slice int, e cache.Entry, sharers uint32) {
 	gl := mem.GlobalLine{ASID: e.ASID, Line: e.Line}
-	s.removePresent(L2, slice, gl)
-	s.backInvalidateL1(slice, gl)
+	s.backInvalidateL1(slice, gl, sharers)
 	if e.Dirty {
 		if mask := s.presL3.Get(gl) & s.groupSliceMask(L3, slice); mask != 0 {
 			sl := bits.TrailingZeros32(mask)
@@ -403,7 +445,6 @@ func (s *System) onL2Evict(slice int, e cache.Entry) {
 // (and transitively L1) copies beneath this L3 group, plus writeback.
 func (s *System) onL3Evict(slice int, e cache.Entry) {
 	gl := mem.GlobalLine{ASID: e.ASID, Line: e.Line}
-	s.removePresent(L3, slice, gl)
 	under := s.presL2.Get(gl) & s.slicesUnderL3Group(slice)
 	for m := under; m != 0; m &= m - 1 {
 		l2s := bits.TrailingZeros32(m)
@@ -432,10 +473,10 @@ func (s *System) invalidateAt(l Level, slice int, gl mem.GlobalLine, cascade boo
 	if !e.Valid {
 		return
 	}
-	s.removePresent(l, slice, gl)
+	_, sharers := s.pres(l).Clear(gl, 1<<uint(slice))
 	if l == L2 {
 		if cascade {
-			s.backInvalidateL1(slice, gl)
+			s.backInvalidateL1(slice, gl, sharers)
 		}
 		if e.Dirty {
 			if mask := s.presL3.Get(gl) & s.groupSliceMask(L3, slice); mask != 0 {
@@ -452,11 +493,11 @@ func (s *System) invalidateAt(l Level, slice int, gl mem.GlobalLine, cascade boo
 
 // backInvalidateL1 removes the line from the L1s of every core whose L2
 // group contains the slice (only those cores can have filled their L1 from
-// it under inclusion).
-func (s *System) backInvalidateL1(slice int, gl mem.GlobalLine) {
-	g := s.topo.L2
-	for _, c := range g.Members(g.GroupOf(slice)) {
-		s.l1[c].Invalidate(gl.ASID, gl.Line)
+// it under inclusion). Of those it probes only the cores in sharers, the
+// line's L2 sharer mask: a core outside it holds no copy (DESIGN.md §11).
+func (s *System) backInvalidateL1(slice int, gl mem.GlobalLine, sharers uint32) {
+	for m := sharers & s.groupMaskL2[slice]; m != 0; m &= m - 1 {
+		s.l1[bits.TrailingZeros32(m)].Invalidate(gl.ASID, gl.Line)
 	}
 }
 
@@ -465,16 +506,11 @@ func (s *System) backInvalidateL1(slice int, gl mem.GlobalLine) {
 // from L2/L3 slices outside c's groups. Split groups replicating shared
 // data therefore keep paying this cost; merged groups hold one copy (§2.1).
 //
-// Only the L1s that can hold the line are probed: under inclusion (L1 ⊆
-// L2 group) an L1 copy on core d implies an L2 copy in some slice of d's
-// L2 group, so the candidates are the union of the L2 groups of the
-// slices holding the line at L2, minus the writer (DESIGN.md §11).
+// Only the L1s that can hold the line are probed: those of the cores in
+// the line's L2 sharer mask, a superset of its L1 holders, minus the
+// writer (DESIGN.md §11).
 func (s *System) writeInvalidateOthers(core int, gl mem.GlobalLine) {
-	l2 := s.presL2.Get(gl)
-	var sharers uint32
-	for m := l2; m != 0; m &= m - 1 {
-		sharers |= s.groupMaskL2[bits.TrailingZeros32(m)]
-	}
+	l2, sharers := s.presL2.GetSharers(gl)
 	for m := sharers &^ (1 << uint(core)); m != 0; m &= m - 1 {
 		if e := s.l1[bits.TrailingZeros32(m)].Invalidate(gl.ASID, gl.Line); e.Valid {
 			s.stats.CoherenceInv++
@@ -494,10 +530,6 @@ func (s *System) writeInvalidateOthers(core int, gl mem.GlobalLine) {
 
 func (s *System) addPresent(l Level, slice int, gl mem.GlobalLine) {
 	s.pres(l).Or(gl, 1<<uint(slice))
-}
-
-func (s *System) removePresent(l Level, slice int, gl mem.GlobalLine) {
-	s.pres(l).Clear(gl, 1<<uint(slice))
 }
 
 // interconnectWait charges one transaction on the level's interconnect,

@@ -253,10 +253,12 @@ func TestReconfigEnforcesInclusion(t *testing.T) {
 }
 
 func TestInclusionInvariantUnderRandomOps(t *testing.T) {
-	// Property: arbitrary interleavings of accesses, legal reconfigs and
-	// way-disable faults preserve inclusion and present-mask consistency,
-	// and a write leaves the line in no other core's L1 (the coherence
-	// action probes only the L1s inclusion allows to hold it).
+	// Property: arbitrary interleavings of accesses, legal reconfigs (merges
+	// and splits, also between the accesses of a step), remote-hit
+	// migrations and way-disable faults preserve inclusion, present-mask
+	// consistency and the L2 sharer masks, and a write leaves the line in
+	// no other core's L1 (the coherence action probes only the L1s the
+	// sharer mask allows to hold it).
 	p := ScaledDefault(4, 16)
 	p.ChargeRemote = true
 	s, err := New(p, topology.AllPrivate(4))
@@ -271,6 +273,7 @@ func TestInclusionInvariantUnderRandomOps(t *testing.T) {
 		topology.AllPrivate(4),
 		{L2: mustGroups(t, 4, [][]int{{0, 1}, {2}, {3}}), L3: mustGroups(t, 4, [][]int{{0, 1}, {2, 3}})},
 		{L2: topology.Private(4), L3: topology.Shared(4)},
+		{L2: mustGroups(t, 4, [][]int{{0}, {1}, {2, 3}}), L3: topology.Shared(4)},
 		topology.AllShared(4),
 	}
 	var now uint64
@@ -280,6 +283,15 @@ func TestInclusionInvariantUnderRandomOps(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 3000; i++ {
+			if i == 1500 && r.Intn(2) == 0 {
+				topo = topos[r.Intn(len(topos))]
+				if err := s.SetTopology(topo); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.CheckInclusion(); err != nil {
+					t.Fatalf("step %d after switching to %v: %v", step, topo.Spec(), err)
+				}
+			}
 			c := r.Intn(4)
 			a := mem.Access{
 				Line: mem.Line(uint64(c%2)<<22 | uint64(r.Intn(3000))),
@@ -310,6 +322,10 @@ func TestInclusionInvariantUnderRandomOps(t *testing.T) {
 				t.Fatalf("step %d after %v: %v", step, ev, err)
 			}
 		}
+	}
+	if st := s.Stats(); st.Migrations == 0 || st.LazyInv == 0 || st.CoherenceInv == 0 {
+		t.Fatalf("random ops missed a path: %d migrations, %d lazy and %d coherence invalidations",
+			st.Migrations, st.LazyInv, st.CoherenceInv)
 	}
 }
 

@@ -29,8 +29,12 @@ type PresenceIndex struct {
 	lines  []mem.Line
 	asids  []mem.ASID
 	owners []uint32 // 0 = empty slot (a present line always has owners)
-	n      int      // live keys
-	cap    int      // maximum keys (level line capacity)
+	// sharers, allocated only by TrackSharers, holds a second mask per key
+	// that lives and dies with it: the hierarchy's L2 index records there
+	// the cores whose L1 may hold the line.
+	sharers []uint32
+	n       int // live keys
+	cap     int // maximum keys (level line capacity)
 }
 
 // NewPresenceIndex builds an index able to hold maxKeys distinct lines.
@@ -46,6 +50,13 @@ func NewPresenceIndex(maxKeys int) *PresenceIndex {
 		owners: make([]uint32, slots),
 		cap:    maxKeys,
 	}
+}
+
+// TrackSharers gives every key a sharer mask (see Share), zero when the key
+// is created. Indexes that never call it keep no mask memory and pay one
+// nil check per insertion, clear and deletion shift.
+func (p *PresenceIndex) TrackSharers() {
+	p.sharers = make([]uint32, len(p.owners))
 }
 
 // presenceHash mixes an address-space-qualified line into a table index.
@@ -82,6 +93,9 @@ func (p *PresenceIndex) Or(gl mem.GlobalLine, bit uint32) {
 				panic("hierarchy: presence index over line capacity")
 			}
 			p.lines[i], p.asids[i], p.owners[i] = gl.Line, gl.ASID, bit
+			if p.sharers != nil {
+				p.sharers[i] = 0
+			}
 			p.n++
 			return
 		}
@@ -94,21 +108,61 @@ func (p *PresenceIndex) Or(gl mem.GlobalLine, bit uint32) {
 }
 
 // Clear removes the slice bit from the line's owner mask, deleting the key
-// when the mask empties. Clearing an absent line is a no-op.
-func (p *PresenceIndex) Clear(gl mem.GlobalLine, bit uint32) {
+// when the mask empties. It returns the owners left and the key's sharer
+// mask (0 without TrackSharers), which a deleted key no longer keeps.
+// Clearing an absent line is a no-op that returns zeros.
+func (p *PresenceIndex) Clear(gl mem.GlobalLine, bit uint32) (owners, sharers uint32) {
 	i := presenceHash(gl.ASID, gl.Line) & p.mask
 	for {
 		o := p.owners[i]
 		if o == 0 {
-			return
+			return 0, 0
 		}
 		if p.lines[i] == gl.Line && p.asids[i] == gl.ASID {
+			if p.sharers != nil {
+				sharers = p.sharers[i]
+			}
 			if o &^= bit; o != 0 {
 				p.owners[i] = o
-				return
+				return o, sharers
 			}
 			p.deleteAt(i)
+			return 0, sharers
+		}
+		i = (i + 1) & p.mask
+	}
+}
+
+// Share ORs bits into the sharer mask of a present line; an absent line, or
+// an index without TrackSharers, is left unchanged.
+func (p *PresenceIndex) Share(gl mem.GlobalLine, bits uint32) {
+	if p.sharers == nil {
+		return
+	}
+	i := presenceHash(gl.ASID, gl.Line) & p.mask
+	for p.owners[i] != 0 {
+		if p.lines[i] == gl.Line && p.asids[i] == gl.ASID {
+			p.sharers[i] |= bits
 			return
+		}
+		i = (i + 1) & p.mask
+	}
+}
+
+// GetSharers returns the owner and sharer masks of the line, or zeros if
+// it is absent.
+func (p *PresenceIndex) GetSharers(gl mem.GlobalLine) (owners, sharers uint32) {
+	i := presenceHash(gl.ASID, gl.Line) & p.mask
+	for {
+		o := p.owners[i]
+		if o == 0 {
+			return 0, 0
+		}
+		if p.lines[i] == gl.Line && p.asids[i] == gl.ASID {
+			if p.sharers != nil {
+				sharers = p.sharers[i]
+			}
+			return o, sharers
 		}
 		i = (i + 1) & p.mask
 	}
@@ -132,6 +186,9 @@ func (p *PresenceIndex) deleteAt(i uint64) {
 			// would put it before its home and break its own chain.
 			if (j-h)&p.mask >= (j-i)&p.mask {
 				p.lines[i], p.asids[i], p.owners[i] = p.lines[j], p.asids[j], p.owners[j]
+				if p.sharers != nil {
+					p.sharers[i] = p.sharers[j]
+				}
 				i = j
 				break
 			}

@@ -55,13 +55,16 @@ func TestPresenceIndexOverflowPanics(t *testing.T) {
 	p.Or(mem.GlobalLine{ASID: 1, Line: 99}, 1)
 }
 
-// TestPresenceIndexChurn drives randomized or/clear traffic against a
-// reference map, exercising the backward-shift deletion paths, and verifies
-// both the answers and the structural invariants after every phase.
+// TestPresenceIndexChurn drives randomized or/clear/share traffic against
+// reference maps, exercising the backward-shift deletion paths (which must
+// move a key's sharer mask with it), and verifies the answers and the
+// structural invariants after every phase.
 func TestPresenceIndexChurn(t *testing.T) {
 	const keys = 512
 	p := NewPresenceIndex(keys)
+	p.TrackSharers()
 	ref := make(map[mem.GlobalLine]uint32)
+	refSharers := make(map[mem.GlobalLine]uint32)
 	r := rng.New(11)
 	gl := func() mem.GlobalLine {
 		// A small keyspace with strided lines forces dense probe chains.
@@ -71,16 +74,31 @@ func TestPresenceIndexChurn(t *testing.T) {
 		for op := 0; op < 64; op++ {
 			k := gl()
 			bit := uint32(1) << uint(r.Intn(8))
-			if r.Intn(3) == 0 {
-				p.Clear(k, bit)
+			switch r.Intn(4) {
+			case 0:
+				owners, sharers := p.Clear(k, bit)
+				if sharers != refSharers[k] {
+					t.Fatalf("round %d: Clear(%+v) sharers %#x, want %#x", round, k, sharers, refSharers[k])
+				}
 				if v := ref[k] &^ bit; v == 0 {
 					delete(ref, k)
+					delete(refSharers, k)
 				} else {
 					ref[k] = v
 				}
-			} else if len(ref) < keys || ref[k] != 0 {
-				p.Or(k, bit)
-				ref[k] |= bit
+				if owners != ref[k] {
+					t.Fatalf("round %d: Clear(%+v) left %#x, want %#x", round, k, owners, ref[k])
+				}
+			case 1:
+				p.Share(k, bit)
+				if ref[k] != 0 {
+					refSharers[k] |= bit
+				}
+			default:
+				if len(ref) < keys || ref[k] != 0 {
+					p.Or(k, bit)
+					ref[k] |= bit
+				}
 			}
 		}
 		if err := p.Check(); err != nil {
@@ -90,8 +108,8 @@ func TestPresenceIndexChurn(t *testing.T) {
 			t.Fatalf("round %d: Len %d, reference %d", round, p.Len(), len(ref))
 		}
 		for k, v := range ref {
-			if got := p.Get(k); got != v {
-				t.Fatalf("round %d: get(%+v) = %#x, want %#x", round, k, got, v)
+			if got, sharers := p.GetSharers(k); got != v || sharers != refSharers[k] || p.Get(k) != v {
+				t.Fatalf("round %d: %+v owners %#x sharers %#x, want %#x and %#x", round, k, got, sharers, v, refSharers[k])
 			}
 		}
 	}

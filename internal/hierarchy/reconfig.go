@@ -140,9 +140,10 @@ func (s *System) enforceInclusion() {
 }
 
 // CheckInclusion verifies the inclusion invariants exhaustively (test
-// support): every valid L1 line has an L2 copy within the core's L2 group,
-// and every valid L2 line has an L3 copy within its slice's L3 group. It
-// also cross-checks the present masks against actual slice contents.
+// support): every valid L1 line has an L2 copy within the core's L2 group
+// whose sharer mask includes the core, and every valid L2 line has an L3
+// copy within its slice's L3 group. It also cross-checks the present masks
+// against actual slice contents.
 func (s *System) CheckInclusion() error {
 	if err := s.CheckPresence(); err != nil {
 		return err
@@ -153,8 +154,13 @@ func (s *System) CheckInclusion() error {
 		var err error
 		s.l1[c].ForEachValid(func(_, _ int, e cache.Entry) {
 			gl := mem.GlobalLine{ASID: e.ASID, Line: e.Line}
-			if err == nil && s.presL2.Get(gl)&mask == 0 {
+			owners, sharers := s.presL2.GetSharers(gl)
+			switch {
+			case err != nil:
+			case owners&mask == 0:
 				err = fmt.Errorf("hierarchy: L1 of core %d holds %+v with no L2 copy in group", c, gl)
+			case sharers&(1<<uint(c)) == 0:
+				err = fmt.Errorf("hierarchy: L1 of core %d holds %+v missing from its L2 sharer mask %#x", c, gl, sharers)
 			}
 		})
 		if err != nil {

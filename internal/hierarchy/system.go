@@ -271,8 +271,18 @@ type System struct {
 	// survive topology changes. The indexes are fixed-size open-addressing
 	// tables (see presence.go) so the access path never hashes through a Go
 	// map or allocates.
+	// presL2 also tracks a sharer mask per line (TrackSharers): a superset
+	// of the cores whose L1 holds the line, so back-invalidation and
+	// write-invalidation probe only those L1s (DESIGN.md §11).
 	presL2 *PresenceIndex
 	presL3 *PresenceIndex
+
+	// freeL2/L3[set] and ageL2/L3[set*cores+slice] are the level-wide spill
+	// rows every L2/L3 slice publishes into (cache.Slice.ShareRows): which
+	// slices have a free way in the set, and each slice's memoised LRU
+	// victim stamp for it (0 = unknown).
+	freeL2, freeL3 []uint32
+	ageL2, ageL3   []uint64
 
 	// demand[level][core][slice] are the per-interval reuse-demand
 	// footprints the controller reads (see footprint.go).
@@ -362,14 +372,21 @@ func New(p Params, topo topology.Topology) (*System, error) {
 		groupMaskL2:   make([]uint32, p.Cores),
 		groupMaskL3:   make([]uint32, p.Cores),
 	}
+	s.presL2.TrackSharers()
+	l2Cfg := cache.Config{SizeBytes: p.L2SliceBytes, Ways: p.L2Ways, Policy: p.Policy}
+	l3Cfg := cache.Config{SizeBytes: p.L3SliceBytes, Ways: p.L3Ways, Policy: p.Policy}
+	s.freeL2, s.ageL2 = make([]uint32, l2Cfg.Sets()), make([]uint64, l2Cfg.Sets()*p.Cores)
+	s.freeL3, s.ageL3 = make([]uint32, l3Cfg.Sets()), make([]uint64, l3Cfg.Sets()*p.Cores)
 	clockL2, clockL3 := &cache.Clock{}, &cache.Clock{}
 	for i := 0; i < p.Cores; i++ {
 		s.l1 = append(s.l1, cache.New(cache.Config{SizeBytes: p.L1SizeBytes, Ways: p.L1Ways, Policy: p.Policy}))
-		l2 := cache.New(cache.Config{SizeBytes: p.L2SliceBytes, Ways: p.L2Ways, Policy: p.Policy})
+		l2 := cache.New(l2Cfg)
 		l2.ShareClock(clockL2)
+		l2.ShareRows(s.freeL2, s.ageL2, i, p.Cores)
 		s.l2 = append(s.l2, l2)
-		l3 := cache.New(cache.Config{SizeBytes: p.L3SliceBytes, Ways: p.L3Ways, Policy: p.Policy})
+		l3 := cache.New(l3Cfg)
 		l3.ShareClock(clockL3)
+		l3.ShareRows(s.freeL3, s.ageL3, i, p.Cores)
 		s.l3 = append(s.l3, l3)
 	}
 	s.initFootprints()
@@ -461,6 +478,14 @@ func (s *System) pres(l Level) *PresenceIndex {
 		return s.presL2
 	}
 	return s.presL3
+}
+
+// rows returns the level's spill rows (see freeL2).
+func (s *System) rows(l Level) (free []uint32, age []uint64) {
+	if l == L2 {
+		return s.freeL2, s.ageL2
+	}
+	return s.freeL3, s.ageL3
 }
 
 // PresentMask returns the bitmask of slices holding the line at the level

@@ -119,12 +119,21 @@ func (s *Stream) Zipf(n int, theta float64) int {
 	// what a hot-set reuse pattern needs.
 	u := s.Float64()
 	var r float64
-	if e := 1 / (1 - theta); e == 2 {
+	switch e := 1 / (1 - theta); {
+	case e == 2:
 		// theta 0.5, the workload model's hot-set skew: math.Pow(u, 2)
 		// equals u*u bit for bit on [0, 1) (see TestPowSquareExact), at a
 		// fraction of the cost.
 		r = u * u
-	} else {
+	case e > 1 && e <= 1.5:
+		// theta up to 1/3, the warm-set skew 0.25 among them: for these
+		// exponents math.Pow(u, e) computes exp((e-1)·log u) and scales it
+		// by the mantissa and exponent of u, a rescaling that is exact for
+		// normal results, so the product with u is the same float64 (see
+		// TestPowFractionalExact) without Pow's special-case tests and
+		// Frexp/Ldexp.
+		r = math.Exp((e-1)*math.Log(u)) * u
+	default:
 		r = math.Pow(u, e)
 	}
 	i := int(r * float64(n))

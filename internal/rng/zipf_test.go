@@ -31,6 +31,31 @@ func TestPowSquareExact(t *testing.T) {
 	}
 }
 
+// TestPowFractionalExact backs Zipf's exp-log form for exponents in
+// (1, 1.5]: on the edge values and on every draw, math.Pow(u, e) and
+// math.Exp((e-1)*math.Log(u))*u are the same float64.
+func TestPowFractionalExact(t *testing.T) {
+	draws := 10_000_000
+	if testing.Short() {
+		draws = 1_000_000
+	}
+	for _, theta := range []float64{0.1, 0.25, 0.3} {
+		e := 1 / (1 - theta)
+		check := func(i int, u float64) {
+			if p, q := math.Pow(u, e), math.Exp((e-1)*math.Log(u))*u; p != q {
+				t.Fatalf("theta %v draw %d: Pow(%v, %v) = %v, exp-log = %v", theta, i, u, e, p, q)
+			}
+		}
+		for _, u := range []float64{0, 0x1p-53, 1 - 0x1p-53} {
+			check(-1, u)
+		}
+		s := New(2025)
+		for i := 0; i < draws; i++ {
+			check(i, s.Float64())
+		}
+	}
+}
+
 // zipfPinN is the range of the pinned draws. Scaling by 2^62 is exact and
 // keeps every mantissa bit of the rank above 2^-10 in the index, so a
 // one-ulp change in the computed rank moves the draw.
