@@ -140,7 +140,7 @@ func TestArmRewardCapabilityPerPolicy(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.arm, func(t *testing.T) {
-			target, err := c.armTarget(tc.arm)
+			target, err := NewTarget(c.Params(), c.Morph, tc.arm)
 			if err != nil {
 				t.Fatal(err)
 			}

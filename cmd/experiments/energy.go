@@ -11,7 +11,6 @@ import (
 	"morphcache/internal/runner"
 	"morphcache/internal/sim"
 	"morphcache/internal/stats"
-	"morphcache/internal/topology"
 )
 
 // energyExp quantifies the §7 future-work claim: the segmented bus reduces
@@ -38,16 +37,16 @@ func energyExp(cfg mc.Config, quick bool) error {
 			if err != nil {
 				return energyRow{}, err
 			}
-			p := cfg.Params()
-			p.ChargeRemote = true
-			sys, err := hierarchy.New(p, topology.AllPrivate(p.Cores))
+			t, err := mc.NewTarget(cfg.Params(), cfg.Morph, "morph")
 			if err != nil {
 				return energyRow{}, err
 			}
+			ht := t.(*sim.HierarchyTarget)
 			seg := energy.NewMeter(energy.Default())
 			mono := energy.NewMeter(energy.Default())
-			pol := &meteredPolicy{inner: core.New(cfg.Morph), sys: sys, seg: seg, mono: mono}
-			eng, err := sim.New(simConfigOf(cfg), &sim.HierarchyTarget{Sys: sys, Policy: pol}, gens)
+			pol := &meteredPolicy{inner: ht.Policy.(*core.Controller), sys: ht.Sys, seg: seg, mono: mono}
+			ht.Policy = pol
+			eng, err := sim.New(simConfigOf(cfg), ht, gens)
 			if err != nil {
 				return energyRow{}, err
 			}
@@ -59,19 +58,17 @@ func energyExp(cfg mc.Config, quick bool) error {
 			if err != nil {
 				return energyRow{}, err
 			}
-			sp := cfg.Params()
-			sp.ChargeRemote = false
-			ssys, err := hierarchy.New(sp, topology.AllShared(sp.Cores))
+			st, err := mc.NewTarget(cfg.Params(), cfg.Morph, fmt.Sprintf("(%d:1:1)", cfg.Cores))
 			if err != nil {
 				return energyRow{}, err
 			}
-			seng, err := sim.New(simConfigOf(cfg), &sim.HierarchyTarget{Sys: ssys, Policy: sim.NopPolicy{Label: "(16:1:1)"}}, gens2)
+			seng, err := sim.New(simConfigOf(cfg), st, gens2)
 			if err != nil {
 				return energyRow{}, err
 			}
 			seng.Run()
 			sharedMeter := energy.NewMeter(energy.Default())
-			sharedMeter.Charge(hierarchy.Stats{}, *ssys.Stats(), energy.MonolithicTopology(sp.Cores))
+			sharedMeter.Charge(hierarchy.Stats{}, *st.(*sim.HierarchyTarget).Sys.Stats(), energy.MonolithicTopology(cfg.Cores))
 
 			return energyRow{
 				segUJ:    seg.TotalNJ / 1000,

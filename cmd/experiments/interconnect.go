@@ -6,12 +6,10 @@ import (
 	mc "morphcache"
 
 	"morphcache/internal/bus"
-	"morphcache/internal/core"
 	"morphcache/internal/hierarchy"
 	"morphcache/internal/runner"
 	"morphcache/internal/sim"
 	"morphcache/internal/stats"
-	"morphcache/internal/topology"
 )
 
 // xbar quantifies the §3.1 interconnect trade-off the paper argues
@@ -35,21 +33,13 @@ func xbar(cfg mc.Config, quick bool) error {
 		}
 		p := cfg.Params()
 		p.Interconnect = kind
-		var target sim.Target
+		policy := fmt.Sprintf("(%d:1:1)", p.Cores)
 		if morph {
-			p.ChargeRemote = true
-			sys, err := hierarchy.New(p, topology.AllPrivate(p.Cores))
-			if err != nil {
-				return 0, err
-			}
-			target = &sim.HierarchyTarget{Sys: sys, Policy: core.New(cfg.Morph)}
-		} else {
-			p.ChargeRemote = false
-			sys, err := hierarchy.New(p, topology.AllShared(p.Cores))
-			if err != nil {
-				return 0, err
-			}
-			target = &sim.HierarchyTarget{Sys: sys, Policy: sim.NopPolicy{Label: "(16:1:1)"}}
+			policy = "morph"
+		}
+		target, err := mc.NewTarget(p, cfg.Morph, policy)
+		if err != nil {
+			return 0, err
 		}
 		eng, err := sim.New(simConfigOf(cfg), target, gens)
 		if err != nil {

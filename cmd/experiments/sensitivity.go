@@ -7,6 +7,7 @@ import (
 
 	"morphcache/internal/core"
 	"morphcache/internal/hierarchy"
+	"morphcache/internal/metrics"
 	"morphcache/internal/runner"
 	"morphcache/internal/sim"
 	"morphcache/internal/stats"
@@ -37,26 +38,30 @@ func sens(cfg mc.Config, quick bool) error {
 					mn += " (8)"
 				}
 				w := mc.Mix(mn)
-				gens, err := w.Generators(c)
-				if err != nil {
-					return 0, err
-				}
 				p := c.Params()
 				if mut != nil {
 					mut(&p)
 				}
-				baseSpec := fmt.Sprintf("(%d:1:1)", cores)
-				sp := p
-				sp.ChargeRemote = false
-				base, err := sim.RunStatic(simConfigOf(c), sp, baseSpec, gens)
+				simulate := func(policy string) (*metrics.Run, error) {
+					t, err := mc.NewTarget(p, core.DefaultOptions(), policy)
+					if err != nil {
+						return nil, err
+					}
+					gens, err := w.Generators(c)
+					if err != nil {
+						return nil, err
+					}
+					eng, err := sim.New(simConfigOf(c), t, gens)
+					if err != nil {
+						return nil, err
+					}
+					return eng.Run(), nil
+				}
+				base, err := simulate(fmt.Sprintf("(%d:1:1)", cores))
 				if err != nil {
 					return 0, err
 				}
-				gens2, err := w.Generators(c)
-				if err != nil {
-					return 0, err
-				}
-				mrun, err := sim.RunPolicy(simConfigOf(c), p, core.New(core.DefaultOptions()), gens2)
+				mrun, err := simulate("morph")
 				if err != nil {
 					return 0, err
 				}

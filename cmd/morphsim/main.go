@@ -41,14 +41,11 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 	"time"
 
 	mc "morphcache"
 
 	"morphcache/internal/baselines/bandit"
-	"morphcache/internal/baselines/dsr"
-	"morphcache/internal/baselines/pipp"
 	"morphcache/internal/core"
 	"morphcache/internal/fault"
 	"morphcache/internal/hierarchy"
@@ -56,7 +53,6 @@ import (
 	"morphcache/internal/sampled"
 	"morphcache/internal/sim"
 	"morphcache/internal/telemetry"
-	"morphcache/internal/topology"
 	"morphcache/internal/workload"
 )
 
@@ -345,84 +341,57 @@ func main() {
 	}
 }
 
+// buildGenerators instantiates the per-core generators of a Table 5 mix or
+// a PARSEC application, through the facade's Workload.
 func buildGenerators(name string, cores int, seed uint64, scale int) ([]*workload.Generator, error) {
-	gcfg := workload.ScaledGenConfig(scale)
-	if scale <= 1 {
-		gcfg = workload.DefaultGenConfig()
-	}
-	if mix, err := workload.MixByName(name); err == nil {
-		if len(mix.Benchmarks) < cores {
-			return nil, fmt.Errorf("mix %q has %d applications, need %d cores", name, len(mix.Benchmarks), cores)
+	w := mc.Mix(name)
+	if _, err := workload.MixByName(name); err != nil {
+		p, err := workload.ByName(name)
+		if err != nil {
+			return nil, err
 		}
-		mix.Benchmarks = mix.Benchmarks[:cores]
-		return workload.MixGenerators(mix, gcfg, seed), nil
+		if p.Suite != workload.PARSEC {
+			return nil, fmt.Errorf("%q is a single-threaded SPEC benchmark; use a Table 5 mix or a PARSEC name", name)
+		}
+		w = mc.Parsec(name)
 	}
-	p, err := workload.ByName(name)
-	if err != nil {
-		return nil, err
+	return w.Generators(mc.Config{Cores: cores, Scale: scale, Seed: seed})
+}
+
+// policyOptions resolves a -policy name to the facade policy and the
+// controller options it runs with: the morph-* option variants run the
+// facade's "morph" policy with one knob changed; every other name passes
+// through with the default options.
+func policyOptions(policy string) (string, core.Options) {
+	opts := core.DefaultOptions()
+	switch policy {
+	case "morph-qos":
+		opts.QoS = true
+	case "morph-split-aggressive":
+		opts.Conflict = core.SplitAggressive
+	case "morph-arbitrary":
+		opts.AllowArbitrarySizes = true
+	case "morph-nonneighbor":
+		opts.AllowNonNeighbors = true
+		opts.AllowArbitrarySizes = true
+	default:
+		return policy, opts
 	}
-	if p.Suite != workload.PARSEC {
-		return nil, fmt.Errorf("%q is a single-threaded SPEC benchmark; use a Table 5 mix or a PARSEC name", name)
-	}
-	return workload.ParsecGenerators(p, cores, gcfg, seed), nil
+	return "morph", opts
 }
 
 // buildTarget assembles the cache system and policy named by the flag. The
 // returned hierarchy is nil for the PIPP/DSR targets (they manage their own
 // caches).
 func buildTarget(cores, scale int, policy string) (sim.Target, *hierarchy.System, error) {
-	params := hierarchy.ScaledDefault(cores, scale)
-	if scale <= 1 {
-		params = hierarchy.Default(cores)
+	policy, opts := policyOptions(policy)
+	target, err := mc.NewTarget(mc.Config{Cores: cores, Scale: scale}.Params(), opts, policy)
+	if err != nil {
+		return nil, nil, err
 	}
-	var target sim.Target
 	var sys *hierarchy.System
-	switch {
-	case strings.HasPrefix(policy, "(") || strings.Contains(policy, ":"):
-		topo, err := topology.FromSpec(policy, cores)
-		if err != nil {
-			return nil, nil, err
-		}
-		params.ChargeRemote = false
-		sys, err = hierarchy.New(params, topo)
-		if err != nil {
-			return nil, nil, err
-		}
-		target = &sim.HierarchyTarget{Sys: sys, Policy: sim.NopPolicy{Label: policy}}
-	case policy == "pipp":
-		target = pipp.New(params, pipp.DefaultOptions())
-	case policy == "dsr":
-		target = dsr.New(params, dsr.DefaultOptions())
-	default:
-		opts := core.DefaultOptions()
-		nodegrade := false
-		switch policy {
-		case "morph":
-		case "morph-nodegrade":
-			nodegrade = true // fault-handling strawman: same controller, no degradation pass
-		case "morph-qos":
-			opts.QoS = true
-		case "morph-split-aggressive":
-			opts.Conflict = core.SplitAggressive
-		case "morph-arbitrary":
-			opts.AllowArbitrarySizes = true
-		case "morph-nonneighbor":
-			opts.AllowNonNeighbors = true
-			opts.AllowArbitrarySizes = true
-		default:
-			return nil, nil, fmt.Errorf("unknown policy %q", policy)
-		}
-		params.ChargeRemote = true
-		var err error
-		sys, err = hierarchy.New(params, topology.AllPrivate(cores))
-		if err != nil {
-			return nil, nil, err
-		}
-		ctrl := core.New(opts)
-		if nodegrade {
-			ctrl.SetDegradation(false)
-		}
-		target = &sim.HierarchyTarget{Sys: sys, Policy: ctrl}
+	if ht, ok := target.(*sim.HierarchyTarget); ok {
+		sys = ht.Sys
 	}
 	return target, sys, nil
 }

@@ -593,40 +593,22 @@ func selectArm(arms []*armState, o Options, seed uint64, w int, rMin, rMax float
 // prefix on a fresh target and fresh sources, returning the window's run,
 // its reward in the given mode, and its mean per-epoch throughput.
 func runWindow(scfg sim.Config, o Options, f Factories, reward, arm string, absStart, mLen int) (*metrics.Run, float64, float64, error) {
-	warm := o.WindowWarmup
-	if warm > absStart {
-		warm = absStart
-	}
-	wcfg := scfg
-	wcfg.StartEpoch = absStart - warm
-	wcfg.WarmupEpochs = warm
-	wcfg.Epochs = mLen
-
 	// MPKI rewards read per-epoch counter records: attach a window log,
 	// teeing into the caller's recorder when one is set.
 	var wlog *telemetry.Log
 	if reward == RewardMPKI {
 		wlog = telemetry.NewLog()
 		if scfg.Recorder != nil {
-			wcfg.Recorder = tee{scfg.Recorder, wlog}
+			scfg.Recorder = tee{scfg.Recorder, wlog}
 		} else {
-			wcfg.Recorder = wlog
+			scfg.Recorder = wlog
 		}
 	}
-
-	target, err := f.NewTarget(arm)
+	newTarget := func() (sim.Target, error) { return f.NewTarget(arm) }
+	wrun, target, err := sim.RunWindow(scfg, absStart, o.WindowWarmup, mLen, newTarget, f.NewSources)
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	srcs, err := f.NewSources()
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	eng, err := sim.NewFromSources(wcfg, target, srcs)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	wrun := eng.Run()
 
 	var thr float64
 	for _, t := range wrun.EpochThroughputs() {

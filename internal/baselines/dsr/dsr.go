@@ -26,9 +26,6 @@ import (
 	"morphcache/internal/cache"
 	"morphcache/internal/hierarchy"
 	"morphcache/internal/mem"
-	"morphcache/internal/metrics"
-	"morphcache/internal/sim"
-	"morphcache/internal/workload"
 )
 
 // Options tunes the DSR mechanism.
@@ -306,14 +303,4 @@ func (lv *level) invalidateExcept(core int, gl mem.GlobalLine) {
 		lv.slices[sl].Invalidate(gl.ASID, gl.Line)
 		lv.present.Clear(gl, 1<<uint(sl))
 	}
-}
-
-// Run executes a workload under DSR with the engine defaults.
-func Run(cfg sim.Config, p hierarchy.Params, gens []*workload.Generator) (*metrics.Run, error) {
-	sys := New(p, DefaultOptions())
-	eng, err := sim.New(cfg, sys, gens)
-	if err != nil {
-		return nil, err
-	}
-	return eng.Run(), nil
 }

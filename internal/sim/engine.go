@@ -607,38 +607,34 @@ func latencySummary(cur [obs.NumServed]obs.HistSnapshot, prev *[obs.NumServed]ob
 	return sum
 }
 
-// RunStatic builds a hierarchy in a fixed (x:y:z) topology with the paper's
-// idealized static latencies and runs the workload on it.
-func RunStatic(cfg Config, p hierarchy.Params, spec string, gens []*workload.Generator) (*metrics.Run, error) {
-	topo, err := topology.FromSpec(spec, p.Cores)
-	if err != nil {
-		return nil, err
+// RunWindow simulates one window of a run: the measured epochs [start,
+// start+epochs) of cfg's timeline (absolute indices), preceded by up to
+// warmup unmeasured epochs — fewer when the window starts near epoch 0 —
+// on a fresh target and fresh sources. Generators reseed per epoch, so the
+// window replays exactly the reference stream of the full run's same
+// epochs. Sampled simulation and the bandit meta-policy both replay their
+// windows here; cfg carries everything else (epoch length, recorder). The
+// target is returned for post-run inspection.
+func RunWindow(cfg Config, start, warmup, epochs int, newTarget func() (Target, error), newSources func() ([]Source, error)) (*metrics.Run, Target, error) {
+	if warmup > start {
+		warmup = start
 	}
-	p.ChargeRemote = false
-	sys, err := hierarchy.New(p, topo)
+	cfg.StartEpoch = start - warmup
+	cfg.WarmupEpochs = warmup
+	cfg.Epochs = epochs
+	target, err := newTarget()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	eng, err := New(cfg, &HierarchyTarget{Sys: sys, Policy: NopPolicy{Label: spec}}, gens)
+	srcs, err := newSources()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return eng.Run(), nil
-}
-
-// RunPolicy builds a MorphCache-style adaptive hierarchy (remote-hit
-// charging on, starting all-private per §2.2) under the given policy.
-func RunPolicy(cfg Config, p hierarchy.Params, policy Policy, gens []*workload.Generator) (*metrics.Run, error) {
-	p.ChargeRemote = true
-	sys, err := hierarchy.New(p, topology.AllPrivate(p.Cores))
+	eng, err := NewFromSources(cfg, target, srcs)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	eng, err := New(cfg, &HierarchyTarget{Sys: sys, Policy: policy}, gens)
-	if err != nil {
-		return nil, err
-	}
-	return eng.Run(), nil
+	return eng.Run(), target, nil
 }
 
 // SoloIPC runs one benchmark thread alone on a single-core private

@@ -7,6 +7,7 @@ import (
 	"morphcache/internal/core"
 	"morphcache/internal/hierarchy"
 	"morphcache/internal/mem"
+	"morphcache/internal/metrics"
 	"morphcache/internal/topology"
 	"morphcache/internal/trace"
 	"morphcache/internal/workload"
@@ -30,12 +31,27 @@ func testGens(t *testing.T, mixName string, cores int) []*workload.Generator {
 	return workload.MixGenerators(mix, workload.ScaledGenConfig(16), 1)
 }
 
-func TestRunStaticBasics(t *testing.T) {
-	p := hierarchy.ScaledDefault(4, 16)
-	run, err := RunStatic(testConfig(), p, "(4:1:1)", testGens(t, "MIX 01", 4))
+// runStatic runs the generators on a fixed (x:y:z) topology of the 4-core
+// scaled hierarchy.
+func runStatic(t *testing.T, spec string, gens []*workload.Generator) *metrics.Run {
+	t.Helper()
+	topo, err := topology.FromSpec(spec, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sys, err := hierarchy.New(hierarchy.ScaledDefault(4, 16), topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := New(testConfig(), &HierarchyTarget{Sys: sys, Policy: NopPolicy{Label: spec}}, gens)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng.Run()
+}
+
+func TestRunStaticBasics(t *testing.T) {
+	run := runStatic(t, "(4:1:1)", testGens(t, "MIX 01", 4))
 	if len(run.Epochs) != 4 {
 		t.Fatalf("%d measured epochs, want 4", len(run.Epochs))
 	}
@@ -59,15 +75,8 @@ func TestRunStaticBasics(t *testing.T) {
 }
 
 func TestDeterministicRuns(t *testing.T) {
-	p := hierarchy.ScaledDefault(4, 16)
-	a, err := RunStatic(testConfig(), p, "(1:1:4)", testGens(t, "MIX 02", 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunStatic(testConfig(), p, "(1:1:4)", testGens(t, "MIX 02", 4))
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := runStatic(t, "(1:1:4)", testGens(t, "MIX 02", 4))
+	b := runStatic(t, "(1:1:4)", testGens(t, "MIX 02", 4))
 	for c := range a.PerCoreIPC {
 		if a.PerCoreIPC[c] != b.PerCoreIPC[c] {
 			t.Fatalf("non-deterministic IPC for core %d: %v vs %v", c, a.PerCoreIPC[c], b.PerCoreIPC[c])
@@ -125,19 +134,6 @@ func TestPolicyContract(t *testing.T) {
 	// Only measured intervals count toward the statistics.
 	if run.Reconfigurations != 4 || run.AsymmetricSteps != 4 {
 		t.Fatalf("reconfig stats %d/%d, want 4/4", run.Reconfigurations, run.AsymmetricSteps)
-	}
-}
-
-func TestRunPolicyStartsPrivate(t *testing.T) {
-	p := hierarchy.ScaledDefault(4, 16)
-	run, err := RunPolicy(testConfig(), p, NopPolicy{Label: "nop"}, testGens(t, "MIX 03", 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range run.Epochs {
-		if e.Topology != "(1:1:4)" {
-			t.Fatalf("policy runs start all-private (§2.2), got %q", e.Topology)
-		}
 	}
 }
 

@@ -129,3 +129,36 @@ func TestStartEpochValidation(t *testing.T) {
 		t.Fatal("negative StartEpoch accepted")
 	}
 }
+
+// TestRunWindowClampsWarmup pins RunWindow's epoch arithmetic: the warmup
+// prefix is clamped at epoch 0, the measured epochs start at the absolute
+// start, and every call builds a fresh target.
+func TestRunWindowClampsWarmup(t *testing.T) {
+	cfg := Config{EpochCycles: 10_000, Epochs: 9, WarmupEpochs: 9, GapInstr: 8, IssueWidth: 4, Seed: 7}
+	srcs := func() ([]Source, error) { return FromGenerators(testGens(t, "MIX 01", 1)), nil }
+	for _, tc := range []struct{ start, warmup, first int }{
+		{start: 1, warmup: 3, first: 0}, // clamped: only epoch 0 precedes
+		{start: 4, warmup: 2, first: 2},
+		{start: 2, warmup: 0, first: 2},
+	} {
+		cap := newStreamCapture()
+		run, target, err := RunWindow(cfg, tc.start, tc.warmup, 2, func() (Target, error) { return cap, nil }, srcs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if target != Target(cap) {
+			t.Fatal("RunWindow must return the target it simulated")
+		}
+		for e := tc.first; e < tc.start+2; e++ {
+			if len(cap.byEpoch[e]) == 0 {
+				t.Fatalf("start %d warmup %d: absolute epoch %d not simulated", tc.start, tc.warmup, e)
+			}
+		}
+		if len(cap.byEpoch) != tc.start+2-tc.first {
+			t.Fatalf("start %d warmup %d: simulated epochs %d, want %d", tc.start, tc.warmup, len(cap.byEpoch), tc.start+2-tc.first)
+		}
+		if len(run.Epochs) != 2 {
+			t.Fatalf("start %d warmup %d: %d measured epochs, want 2", tc.start, tc.warmup, len(run.Epochs))
+		}
+	}
+}

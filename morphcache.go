@@ -30,7 +30,9 @@ package morphcache
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"strings"
 	"time"
 
 	"morphcache/internal/baselines/dsr"
@@ -101,6 +103,10 @@ type Config struct {
 	Observer *obs.Observer
 }
 
+// errBanditSampled rejects a bandit run with Config.Sampled set, whether or
+// not Config.Bandit is.
+var errBanditSampled = errors.New("morphcache: Bandit and Sampled are incompatible (both re-slice the run into windows; the bandit needs the full epoch sequence to learn from)")
+
 // Validate rejects configurations the simulator cannot run meaningfully:
 // a non-power-of-two core count, non-positive scale, epoch count, or epoch
 // length, a negative warmup, or a fault plan that does not fit the
@@ -141,7 +147,7 @@ func (c Config) Validate() error {
 			return fmt.Errorf("morphcache: Bandit and Faults are incompatible (fault plans damage specific absolute epochs; bandit windows replay epochs on fresh targets and would re-inject the damage per window)")
 		}
 		if c.Sampled != nil {
-			return fmt.Errorf("morphcache: Bandit and Sampled are incompatible (both re-slice the run into windows; the bandit needs the full epoch sequence to learn from)")
+			return errBanditSampled
 		}
 	}
 	return nil
@@ -257,6 +263,18 @@ func (w Workload) Generators(c Config) ([]*workload.Generator, error) {
 	return workload.ParsecGenerators(p, c.Cores, g, c.Seed), nil
 }
 
+// sources returns a factory of fresh per-core reference sources, one set
+// per simulated window.
+func (w Workload) sources(c Config) func() ([]sim.Source, error) {
+	return func() ([]sim.Source, error) {
+		gens, err := w.Generators(c)
+		if err != nil {
+			return nil, err
+		}
+		return sim.FromGenerators(gens), nil
+	}
+}
+
 // Result is the outcome of one run.
 type Result struct {
 	// Policy labels the management scheme.
@@ -302,44 +320,102 @@ func fromRun(r *metrics.Run) *Result {
 	return res
 }
 
-// RunStatic runs the workload on a fixed (x:y:z) topology with the paper's
-// idealized static latencies.
-func RunStatic(c Config, spec string, w Workload) (*Result, error) {
+// NewTarget builds a fresh simulation target for the named policy: a
+// static "(x:y:z)" topology (remote-hit charging off, the paper's idealized
+// static latencies), "morph" or "morph-nodegrade" (the MorphCache
+// controller with the given options, starting all-private with remote-hit
+// charging on, §2.2), "pipp", or "dsr". It is the only place a policy name
+// becomes a target: full runs, sampled windows, and bandit arms all build
+// here, so every route starts a policy from the same state.
+func NewTarget(p hierarchy.Params, morph core.Options, policy string) (sim.Target, error) {
+	switch policy {
+	case "morph", "morph-nodegrade":
+		p.ChargeRemote = true
+		sys, err := hierarchy.New(p, topology.AllPrivate(p.Cores))
+		if err != nil {
+			return nil, err
+		}
+		ctrl := core.New(morph)
+		if policy == "morph-nodegrade" {
+			ctrl.SetDegradation(false)
+		}
+		return &sim.HierarchyTarget{Sys: sys, Policy: ctrl}, nil
+	case "pipp":
+		return pipp.New(p, pipp.DefaultOptions()), nil
+	case "dsr":
+		return dsr.New(p, dsr.DefaultOptions()), nil
+	}
+	if !isTopologySpec(policy) {
+		return nil, fmt.Errorf("morphcache: unknown policy %q", policy)
+	}
+	topo, err := topology.FromSpec(policy, p.Cores)
+	if err != nil {
+		return nil, err
+	}
+	p.ChargeRemote = false
+	sys, err := hierarchy.New(p, topo)
+	if err != nil {
+		return nil, err
+	}
+	return &sim.HierarchyTarget{Sys: sys, Policy: sim.NopPolicy{Label: policy}}, nil
+}
+
+// isTopologySpec reports whether a policy name is meant as an (x:y:z)
+// topology rather than a named policy.
+func isTopologySpec(policy string) bool { return strings.Contains(policy, ":") }
+
+// run is the one run path under every Run* entry point: it validates the
+// configuration once and picks the mode — bandit, sampled, or a full run.
+func run(c Config, policy string, w Workload) (*Result, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	if err := c.rejectBandit("RunStatic"); err != nil {
+	switch {
+	case policy == "bandit":
+		if c.Sampled != nil {
+			return nil, errBanditSampled
+		}
+		return runBandit(c, w)
+	case c.Bandit != nil:
+		return nil, fmt.Errorf("morphcache: policy %q ignores Bandit configs; use RunBandit (or Policy %q)", policy, "bandit")
+	case c.Sampled != nil:
+		return runSampled(c, w, policy)
+	}
+	t, err := NewTarget(c.Params(), c.Morph, policy)
+	if err != nil {
 		return nil, err
 	}
-	if c.Sampled != nil {
-		return runSampled(c, w, "static", spec)
-	}
+	return runFull(c, t, w)
+}
+
+// runFull simulates every epoch of the workload on the target.
+func runFull(c Config, t sim.Target, w Workload) (*Result, error) {
 	gens, err := w.Generators(c)
 	if err != nil {
 		return nil, err
 	}
 	sc, tl := c.instrumented()
-	run, err := sim.RunStatic(sc, c.Params(), spec, gens)
+	eng, err := sim.New(sc, t, gens)
 	if err != nil {
 		return nil, err
 	}
-	res := fromRun(run)
+	res := fromRun(eng.Run())
 	res.Telemetry = tl
 	return res, nil
 }
 
+// RunStatic runs the workload on a fixed (x:y:z) topology with the paper's
+// idealized static latencies.
+func RunStatic(c Config, spec string, w Workload) (*Result, error) {
+	if !isTopologySpec(spec) {
+		return nil, fmt.Errorf("morphcache: RunStatic needs an (x:y:z) topology, got %q", spec)
+	}
+	return run(c, spec, w)
+}
+
 // RunMorphCache runs the workload under the MorphCache controller
 // (starting all-private, remote-hit charging on).
-func RunMorphCache(c Config, w Workload) (*Result, error) {
-	if c.Sampled != nil {
-		if err := c.Validate(); err != nil {
-			return nil, err
-		}
-		return runSampled(c, w, "morph", "")
-	}
-	res, _, err := RunMorphCacheWithController(c, w)
-	return res, err
-}
+func RunMorphCache(c Config, w Workload) (*Result, error) { return run(c, "morph", w) }
 
 // RunMorphCacheWithController is RunMorphCache plus the controller for
 // post-run inspection (merge/split counts, throttled MSAT bounds). It
@@ -353,12 +429,18 @@ func RunMorphCacheWithController(c Config, w Workload) (*Result, *core.Controlle
 	if c.Bandit != nil {
 		return nil, nil, fmt.Errorf("morphcache: RunMorphCacheWithController does not support bandit runs (one controller per arm window, and only for windows that pick a morph arm); use RunBandit and inspect Result.BanditReport")
 	}
-	ctrl := core.New(c.Morph)
-	res, err := runControlled(c, w, ctrl)
+	if err := c.Validate(); err != nil {
+		return nil, nil, err
+	}
+	t, err := NewTarget(c.Params(), c.Morph, "morph")
 	if err != nil {
 		return nil, nil, err
 	}
-	return res, ctrl, nil
+	res, err := runFull(c, t, w)
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, t.(*sim.HierarchyTarget).Policy.(*core.Controller), nil
 }
 
 // RunMorphCacheNoDegrade runs the MorphCache controller with its
@@ -367,89 +449,16 @@ func RunMorphCacheWithController(c Config, w Workload) (*Result, *core.Controlle
 // dead bus links as if the machine were healthy. On a fault-free
 // configuration it behaves identically to RunMorphCache.
 func RunMorphCacheNoDegrade(c Config, w Workload) (*Result, error) {
-	if c.Sampled != nil {
-		if err := c.Validate(); err != nil {
-			return nil, err
-		}
-		return runSampled(c, w, "morph-nodegrade", "")
-	}
-	ctrl := core.New(c.Morph)
-	ctrl.SetDegradation(false)
-	return runControlled(c, w, ctrl)
-}
-
-func runControlled(c Config, w Workload, ctrl *core.Controller) (*Result, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	if err := c.rejectBandit("RunMorphCache"); err != nil {
-		return nil, err
-	}
-	gens, err := w.Generators(c)
-	if err != nil {
-		return nil, err
-	}
-	sc, tl := c.instrumented()
-	run, err := sim.RunPolicy(sc, c.Params(), ctrl, gens)
-	if err != nil {
-		return nil, err
-	}
-	res := fromRun(run)
-	res.Telemetry = tl
-	return res, nil
+	return run(c, "morph-nodegrade", w)
 }
 
 // RunPIPP runs the workload under the PIPP baseline (shared L2 and L3,
 // promotion/insertion pseudo-partitioning).
-func RunPIPP(c Config, w Workload) (*Result, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	if err := c.rejectBandit("RunPIPP"); err != nil {
-		return nil, err
-	}
-	if c.Sampled != nil {
-		return runSampled(c, w, "pipp", "")
-	}
-	gens, err := w.Generators(c)
-	if err != nil {
-		return nil, err
-	}
-	sc, tl := c.instrumented()
-	run, err := pipp.Run(sc, c.Params(), gens)
-	if err != nil {
-		return nil, err
-	}
-	res := fromRun(run)
-	res.Telemetry = tl
-	return res, nil
-}
+func RunPIPP(c Config, w Workload) (*Result, error) { return run(c, "pipp", w) }
 
 // RunDSR runs the workload under the DSR baseline (private slices with
 // dynamic spill-receive at both levels).
-func RunDSR(c Config, w Workload) (*Result, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	if err := c.rejectBandit("RunDSR"); err != nil {
-		return nil, err
-	}
-	if c.Sampled != nil {
-		return runSampled(c, w, "dsr", "")
-	}
-	gens, err := w.Generators(c)
-	if err != nil {
-		return nil, err
-	}
-	sc, tl := c.instrumented()
-	run, err := dsr.Run(sc, c.Params(), gens)
-	if err != nil {
-		return nil, err
-	}
-	res := fromRun(run)
-	res.Telemetry = tl
-	return res, nil
-}
+func RunDSR(c Config, w Workload) (*Result, error) { return run(c, "dsr", w) }
 
 // RunSpec names one independent simulation job for RunBatch: a workload
 // under a policy, optionally with its own configuration.
@@ -462,7 +471,8 @@ type RunSpec struct {
 	// Workload is the mix or PARSEC application to run.
 	Workload Workload
 	// Morph, when non-nil, overrides the controller options for a "morph"
-	// job (QoS, conflict policy, §5.5 extensions, ...).
+	// or "morph-nodegrade" job (QoS, conflict policy, §5.5 extensions,
+	// ...). A "bandit" job's morph arms keep Config.Morph.
 	Morph *core.Options
 	// Config, when non-nil, overrides the batch configuration for this job
 	// (sensitivity sweeps vary seeds, epoch lengths, and scales per job).
@@ -492,26 +502,10 @@ func (s RunSpec) run(cfg Config, o *obs.Observer) (*Result, error) {
 	if o != nil {
 		c.Observer = o
 	}
-	switch s.Policy {
-	case "morph":
-		if s.Morph != nil {
-			c.Morph = *s.Morph
-		}
-		return RunMorphCache(c, s.Workload)
-	case "morph-nodegrade":
-		if s.Morph != nil {
-			c.Morph = *s.Morph
-		}
-		return RunMorphCacheNoDegrade(c, s.Workload)
-	case "pipp":
-		return RunPIPP(c, s.Workload)
-	case "dsr":
-		return RunDSR(c, s.Workload)
-	case "bandit":
-		return RunBandit(c, s.Workload)
-	default:
-		return RunStatic(c, s.Policy, s.Workload)
+	if s.Morph != nil && (s.Policy == "morph" || s.Policy == "morph-nodegrade") {
+		c.Morph = *s.Morph
 	}
+	return run(c, s.Policy, s.Workload)
 }
 
 // JobEvent reports one completed batch job to a BatchOptions.Progress
@@ -613,18 +607,23 @@ func RunBatch(cfg Config, specs []RunSpec, opts BatchOptions) ([]*Result, error)
 }
 
 // StandardStatics lists the paper's static comparison topologies for the
-// configured core count.
+// configured core count: all-shared, all-private, quad-shared L2 slices
+// over a shared L3 (from 8 cores up; below that it would repeat all-shared
+// or be invalid), and private L2s over a shared L3. Every spec is valid for
+// the core count and none repeats.
 func StandardStatics(c Config) []string {
-	if c.Cores == 16 {
-		return topology.StandardSpecs()
-	}
 	n := c.Cores
-	return []string{
-		fmt.Sprintf("(%d:1:1)", n),
-		fmt.Sprintf("(1:1:%d)", n),
-		fmt.Sprintf("(4:%d:1)", n/4),
-		fmt.Sprintf("(1:%d:1)", n),
+	switch {
+	case n == 16:
+		return topology.StandardSpecs()
+	case n == 1:
+		return []string{"(1:1:1)"}
 	}
+	specs := []string{fmt.Sprintf("(%d:1:1)", n), fmt.Sprintf("(1:1:%d)", n)}
+	if n >= 8 {
+		specs = append(specs, fmt.Sprintf("(4:%d:1)", n/4))
+	}
+	return append(specs, fmt.Sprintf("(1:%d:1)", n))
 }
 
 // IdealOffline composes the per-epoch upper envelope over a set of static

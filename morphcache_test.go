@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"morphcache/internal/core"
+	"morphcache/internal/topology"
 )
 
 // fastConfig keeps integration tests quick: 4 measured epochs.
@@ -155,6 +156,26 @@ func TestStandardStatics(t *testing.T) {
 		if _, err := RunStatic(fastConfig8(c), s, Mix("MIX 01")); err != nil {
 			t.Fatalf("8-core static %s: %v", s, err)
 		}
+	}
+	// Below 8 cores every spec must still parse and none may repeat.
+	for _, n := range []int{1, 2, 4} {
+		c.Cores = n
+		seen := map[string]bool{}
+		for _, s := range StandardStatics(c) {
+			if _, err := topology.FromSpec(s, n); err != nil {
+				t.Fatalf("%d-core static %s: %v", n, s, err)
+			}
+			if seen[s] {
+				t.Fatalf("%d-core statics repeat %s: %v", n, s, StandardStatics(c))
+			}
+			seen[s] = true
+		}
+	}
+	// So the default bandit zoo is valid at 4 cores.
+	c = banditTestConfig()
+	c.Epochs = 2
+	if _, err := RunBandit(c, Mix("MIX 01")); err != nil {
+		t.Fatalf("4-core bandit with default arms: %v", err)
 	}
 }
 
