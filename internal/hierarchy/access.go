@@ -91,7 +91,7 @@ func (s *System) access(core int, a mem.Access, now uint64) AccessResult {
 	// L2 group: the lookup occupies the interconnect whether it hits or
 	// not. On the bus, the whole group's channel; on a crossbar, the port
 	// of the slice that serves (or would have served) the request.
-	l2Slice, l2Way := s.findInGroup(L2, core, gl)
+	l2Slice, l2Way, _ := s.findInGroup(L2, core, gl)
 	servedAt := l2Slice
 	if servedAt < 0 {
 		servedAt = core
@@ -139,7 +139,7 @@ func (s *System) access(core int, a mem.Access, now uint64) AccessResult {
 	s.perCoreMisses[core]++
 
 	// L3 group.
-	l3Slice, l3Way := s.findInGroup(L3, core, gl)
+	l3Slice, l3Way, l3Owners := s.findInGroup(L3, core, gl)
 	servedAt = l3Slice
 	if servedAt < 0 {
 		servedAt = core
@@ -184,9 +184,10 @@ func (s *System) access(core int, a mem.Access, now uint64) AccessResult {
 	s.stats.L3Misses++
 
 	// Off-group: cache-to-cache transfer if any other L3 group holds the
-	// line, otherwise main memory.
+	// line, otherwise main memory. Nothing changed the L3 index since the
+	// group lookup read the line's owners.
 	served := ByMemory
-	if s.presL3.Get(gl)&^s.groupSliceMask(L3, core) != 0 {
+	if l3Owners&^s.groupSliceMask(L3, core) != 0 {
 		lat += s.p.C2CCycles
 		s.stats.C2C++
 		served = ByC2C
@@ -207,11 +208,13 @@ func (s *System) access(core int, a mem.Access, now uint64) AccessResult {
 // findInGroup looks the line up in every member slice of the core's group
 // at the level, resolving duplicates by lazy invalidation (§2.2): the copy
 // nearest the requester is retained, all others are invalidated on this
-// access. Returns (-1, -1) on a group miss.
-func (s *System) findInGroup(l Level, core int, gl mem.GlobalLine) (slice, way int) {
-	mask := s.pres(l).Get(gl) & s.groupSliceMask(l, core)
+// access. Returns (-1, -1) on a group miss. owners is the mask of every
+// slice of the level holding the line, as read before the invalidation.
+func (s *System) findInGroup(l Level, core int, gl mem.GlobalLine) (slice, way int, owners uint32) {
+	owners = s.pres(l).Get(gl)
+	mask := owners & s.groupSliceMask(l, core)
 	if mask == 0 {
-		return -1, -1
+		return -1, -1, owners
 	}
 	keep := -1
 	if mask&(1<<uint(core)) != 0 {
@@ -230,7 +233,7 @@ func (s *System) findInGroup(l Level, core int, gl mem.GlobalLine) (slice, way i
 		// The present mask claimed a copy that is not there: bookkeeping bug.
 		panic("hierarchy: present mask inconsistent with slice contents")
 	}
-	return keep, w
+	return keep, w, owners
 }
 
 func (s *System) sliceAt(l Level, i int) *cache.Slice {
@@ -550,12 +553,10 @@ func (s *System) interconnectWait(l Level, core, serveSlice int, now uint64, ser
 		}
 		idx = serveSlice
 	} else {
-		g := s.grouping(l)
-		idx = g.GroupOf(core)
 		if l == L2 {
-			busy = s.chanBusyL2
+			busy, idx = s.chanBusyL2, s.groupOfL2[core]
 		} else {
-			busy = s.chanBusyL3
+			busy, idx = s.chanBusyL3, s.groupOfL3[core]
 		}
 	}
 	start := float64(now)

@@ -241,7 +241,42 @@ func reuseThreshold(l Level) uint8 {
 	return l3ReuseThreshold
 }
 
+// SetDemandTracking turns the marking of reuse demand on the access path
+// on or off. It is on from New; a policy that reads no footprint (a
+// static topology's) can turn it off, and the footprint readers
+// (CoresUtilization, CoresOverlap, TelemetrySnapshot) then panic rather
+// than report the empty tables as zero demand. Turning it on mid-interval
+// makes the interval's footprints partial.
+func (s *System) SetDemandTracking(on bool) { s.trackDemand = on }
+
+// DemandTables returns how many (level, core, slice) demand tables have
+// backing storage. A table allocates on its first mark and keeps its
+// storage, so 0 means no demand was ever marked (test support).
+func (s *System) DemandTables() int {
+	n := 0
+	for _, dd := range [][][]demandTable{s.demandL2, s.demandL3} {
+		for c := range dd {
+			for sl := range dd[c] {
+				if dd[c][sl].lines != nil {
+					n++
+				}
+			}
+		}
+	}
+	return n
+}
+
+// readDemand guards the footprint readers (see SetDemandTracking).
+func (s *System) readDemand(reader string) {
+	if !s.trackDemand {
+		panic("hierarchy: " + reader + " read with demand tracking off")
+	}
+}
+
 func (s *System) markDemand(l Level, core, slice int, line mem.Line) {
+	if !s.trackDemand {
+		return
+	}
 	dd := s.demandL2
 	if l == L3 {
 		dd = s.demandL3
@@ -269,56 +304,6 @@ func (s *System) sliceLines(l Level) int {
 	return s.l3Lines
 }
 
-// sliceReused builds the union over cores of one slice's reused lines.
-func (s *System) sliceReused(l Level, slice int, into *lineSet) {
-	dd := s.demandL2
-	if l == L3 {
-		dd = s.demandL3
-	}
-	thr := reuseThreshold(l)
-	for c := 0; c < s.p.Cores; c++ {
-		dd[c][slice].forEach(thr, into.add)
-	}
-}
-
-// SliceUtilization returns the reuse demand of one slice as a fraction of
-// its capacity — the signal compared against the MSAT bounds. Values above
-// 1 mean the active working set exceeds the slice.
-func (s *System) SliceUtilization(l Level, slice int) float64 {
-	set := &s.scratchA
-	set.reset()
-	s.sliceReused(l, slice, set)
-	if !s.flt.any {
-		return float64(set.size()) / float64(s.sliceLines(l))
-	}
-	return float64(set.size()) / float64(s.effSliceLines(l, slice))
-}
-
-// SubsetUtilization returns the juxtaposed utilization of a set of slices
-// (§2.2): total reuse demand over total capacity. With a whole group it is
-// the group's utilization; with half a group it is the signal the split
-// rule examines.
-func (s *System) SubsetUtilization(l Level, slices []int) float64 {
-	set := &s.scratchA
-	set.reset()
-	for _, sl := range slices {
-		s.sliceReused(l, sl, set)
-	}
-	if !s.flt.any {
-		return float64(set.size()) / (float64(len(slices)) * float64(s.sliceLines(l)))
-	}
-	capLines := 0
-	for _, sl := range slices {
-		capLines += s.effSliceLines(l, sl)
-	}
-	return float64(set.size()) / float64(capLines)
-}
-
-// GroupUtilization returns the utilization of a whole group.
-func (s *System) GroupUtilization(l Level, group int) float64 {
-	return s.SubsetUtilization(l, s.grouping(l).Members(group))
-}
-
 // overlapOf returns the fraction of the smaller set's members that both
 // sets contain, 0 when either set is empty.
 func overlapOf(sa, sb *lineSet) float64 {
@@ -336,29 +321,6 @@ func overlapOf(sa, sb *lineSet) float64 {
 		}
 	})
 	return float64(common) / float64(small.size())
-}
-
-// SubsetOverlap returns the data-sharing signal between two slice sets at a
-// level: the fraction of the smaller set's reuse demand that both sets
-// reference. This is the "significant number of common 1s" test of merge
-// rule (ii); the caller is responsible for the same-address-space check.
-func (s *System) SubsetOverlap(l Level, a, b []int) float64 {
-	sa, sb := &s.scratchA, &s.scratchB
-	sa.reset()
-	sb.reset()
-	for _, sl := range a {
-		s.sliceReused(l, sl, sa)
-	}
-	for _, sl := range b {
-		s.sliceReused(l, sl, sb)
-	}
-	return overlapOf(sa, sb)
-}
-
-// GroupOverlap is SubsetOverlap over two existing groups.
-func (s *System) GroupOverlap(l Level, ga, gb int) float64 {
-	g := s.grouping(l)
-	return s.SubsetOverlap(l, g.Members(ga), g.Members(gb))
 }
 
 // SlicesShareASID reports whether all listed cores run threads of one
@@ -400,6 +362,7 @@ func (s *System) coreReused(l Level, core int, into *lineSet) {
 // the reading to corruptUtilization — the garbage a stuck-at-1 ACFV feeds
 // an unprotected controller.
 func (s *System) CoresUtilization(l Level, cores []int) float64 {
+	s.readDemand("CoresUtilization")
 	set := &s.scratchA
 	set.reset()
 	for _, c := range cores {
@@ -425,6 +388,7 @@ func (s *System) CoresUtilization(l Level, cores []int) float64 {
 // (ii), computed per thread group. A corrupted monitor on either side reads
 // full overlap (stuck-at-1 vectors intersect everywhere).
 func (s *System) CoresOverlap(l Level, a, b []int) float64 {
+	s.readDemand("CoresOverlap")
 	if s.flt.any {
 		for _, set := range [][]int{a, b} {
 			for _, c := range set {

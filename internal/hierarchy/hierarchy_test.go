@@ -550,39 +550,88 @@ func TestAccessorsAndStrings(t *testing.T) {
 
 func TestSliceLevelFootprintAccessors(t *testing.T) {
 	s := quiet(t, topology.AllPrivate(4), true)
-	// Plant demand at slice granularity.
+	// Plant demand at slice granularity: core 0 in slice 0, core 1 in
+	// slices 1 and 2 (a core's demand is the union over every slice).
 	for pass := 0; pass < 2; pass++ {
 		for i := 0; i < 100; i++ {
 			s.markDemand(L3, 0, 0, mem.Line(i))
-			s.markDemand(L3, 1, 1, mem.Line(i+50))
+			s.markDemand(L3, 1, 1+i%2, mem.Line(i+50))
 		}
 	}
-	u := s.SliceUtilization(L3, 0)
-	if u <= 0 {
-		t.Fatal("slice utilization")
+	u := s.CoresUtilization(L3, []int{0})
+	if want := 100 / float64(s.sliceLines(L3)); u != want {
+		t.Fatalf("core utilization %v, want %v", u, want)
 	}
-	if g := s.GroupUtilization(L3, s.Topology().L3.GroupOf(0)); g != u {
-		t.Fatalf("singleton group utilization %v != slice %v", g, u)
+	if u1 := s.CoresUtilization(L3, []int{1}); u1 != u {
+		t.Fatalf("core 1 spread over two slices: utilization %v, want %v", u1, u)
 	}
-	if su := s.SubsetUtilization(L3, []int{0, 1}); su <= 0 {
-		t.Fatal("subset utilization")
+	if su := s.CoresUtilization(L3, []int{0, 1}); su != 150/(2*float64(s.sliceLines(L3))) {
+		t.Fatalf("two-core utilization %v", su)
 	}
-	ga := s.Topology().L3.GroupOf(0)
-	gb := s.Topology().L3.GroupOf(1)
-	ov := s.GroupOverlap(L3, ga, gb)
+	ov := s.CoresOverlap(L3, []int{0}, []int{1})
 	if ov < 0.49 || ov > 0.51 {
-		t.Fatalf("group overlap %v, want ~0.5", ov)
+		t.Fatalf("core overlap %v, want ~0.5", ov)
 	}
-	if e := s.SubsetOverlap(L3, []int{2}, []int{3}); e != 0 {
-		t.Fatalf("empty slices should not overlap: %v", e)
+	if e := s.CoresOverlap(L3, []int{2}, []int{3}); e != 0 {
+		t.Fatalf("idle cores should not overlap: %v", e)
+	}
+	// A line touched once is below the reuse threshold.
+	s.markDemand(L3, 2, 2, mem.Line(7))
+	if u2 := s.CoresUtilization(L3, []int{2}); u2 != 0 {
+		t.Fatalf("one touch counted: %v", u2)
 	}
 	// L2 accessors use the L2 threshold.
 	for pass := 0; pass < 3; pass++ {
 		s.markDemand(L2, 0, 0, mem.Line(7))
 	}
-	if s.SliceUtilization(L2, 0) <= 0 {
-		t.Fatal("L2 slice utilization")
+	if s.CoresUtilization(L2, []int{0}) <= 0 {
+		t.Fatal("L2 core utilization")
 	}
+}
+
+// TestDemandTrackingGate: with tracking off the access path marks no
+// demand and every footprint reader panics; turned back on, marking
+// resumes and the readers answer.
+func TestDemandTrackingGate(t *testing.T) {
+	s := quiet(t, topology.AllPrivate(4), true)
+	s.SetDemandTracking(false)
+	for pass := 0; pass < 3; pass++ {
+		for i := 0; i < 4096; i++ {
+			s.Access(i%4, rd(mem.Line(i), mem.ASID(i%4+1)), 0)
+		}
+	}
+	if n := s.DemandTables(); n != 0 {
+		t.Fatalf("tracking off marked %d tables", n)
+	}
+	readers := map[string]func(){
+		"CoresUtilization":  func() { s.CoresUtilization(L3, []int{0}) },
+		"CoresOverlap":      func() { s.CoresOverlap(L2, []int{0}, []int{1}) },
+		"TelemetrySnapshot": func() { s.TelemetrySnapshot() },
+	}
+	for name, read := range readers {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic with tracking off", name)
+				}
+			}()
+			read()
+		}()
+	}
+	s.SetDemandTracking(true)
+	for pass := 0; pass < 2; pass++ {
+		for i := 0; i < 4096; i++ {
+			s.Access(i%4, rd(mem.Line(i), mem.ASID(i%4+1)), 0)
+		}
+	}
+	if s.DemandTables() == 0 {
+		t.Fatal("tracking on marked nothing")
+	}
+	if s.CoresUtilization(L3, []int{0}) <= 0 {
+		t.Fatal("no L3 demand after tracking resumed")
+	}
+	s.CoresOverlap(L2, []int{0}, []int{1})
+	s.TelemetrySnapshot()
 }
 
 func TestCrossbarRelievesSharedContention(t *testing.T) {

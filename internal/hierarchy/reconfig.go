@@ -83,22 +83,23 @@ func resetChan(store []float64, groups int) []float64 {
 	return ch
 }
 
-// computeGroupMasks caches groupSliceMask for every slice of the current
-// topology; the access path reads these on every reference.
+// computeGroupMasks caches groupSliceMask and the group index of every
+// slice of the current topology; the access path reads these on every
+// reference.
 func (s *System) computeGroupMasks() {
-	fill := func(g topology.Grouping, out []uint32) {
+	fill := func(g topology.Grouping, masks []uint32, groupOf []int) {
 		for gi := 0; gi < g.NumGroups(); gi++ {
 			var mask uint32
 			for _, sl := range g.Members(gi) {
 				mask |= 1 << uint(sl)
 			}
 			for _, sl := range g.Members(gi) {
-				out[sl] = mask
+				masks[sl], groupOf[sl] = mask, gi
 			}
 		}
 	}
-	fill(s.topo.L2, s.groupMaskL2)
-	fill(s.topo.L3, s.groupMaskL3)
+	fill(s.topo.L2, s.groupMaskL2, s.groupOfL2)
+	fill(s.topo.L3, s.groupMaskL3, s.groupOfL3)
 }
 
 // enforceInclusion removes lines that the new topology places outside their

@@ -15,7 +15,10 @@ import (
 // other member of the core's group, in ascending order, for a free way,
 // stopping at the first, and otherwise for the age of its LRU victim.
 func refSpillTarget(s *System, l Level, core int, line mem.Line, age uint64) (target int, free bool) {
-	g := s.grouping(l)
+	g := s.Topology().L2
+	if l == L3 {
+		g = s.Topology().L3
+	}
 	target = -1
 	for _, m := range g.Members(g.GroupOf(core)) {
 		if m == core {

@@ -285,8 +285,10 @@ type System struct {
 	ageL2, ageL3   []uint64
 
 	// demand[level][core][slice] are the per-interval reuse-demand
-	// footprints the controller reads (see footprint.go).
+	// footprints the controller reads (see footprint.go). trackDemand gates
+	// their marking on the access path (SetDemandTracking).
 	demandL2, demandL3 [][]demandTable
+	trackDemand        bool
 	l2Lines, l3Lines   int
 
 	// scratchA/scratchB are the reusable line-set scratch buffers behind
@@ -323,9 +325,11 @@ type System struct {
 	memChan                  *mem.Channel
 
 	// groupMaskL2/L3[slice] caches groupSliceMask for the current topology:
-	// the bitmask of the slices in the group containing each slice. Derived
-	// in applyTopology; read on every access.
+	// the bitmask of the slices in the group containing each slice, and
+	// groupOfL2/L3[slice] that group's index (its bus channel). Derived in
+	// applyTopology; read on every access.
 	groupMaskL2, groupMaskL3 []uint32
+	groupOfL2, groupOfL3     []int
 
 	// flt is the injected-fault state (see fault.go); zero value = healthy.
 	flt faultState
@@ -371,6 +375,9 @@ func New(p Params, topo topology.Topology) (*System, error) {
 		remoteOvL3:    make([]int, p.Cores),
 		groupMaskL2:   make([]uint32, p.Cores),
 		groupMaskL3:   make([]uint32, p.Cores),
+		groupOfL2:     make([]int, p.Cores),
+		groupOfL3:     make([]int, p.Cores),
+		trackDemand:   true,
 	}
 	s.presL2.TrackSharers()
 	l2Cfg := cache.Config{SizeBytes: p.L2SliceBytes, Ways: p.L2Ways, Policy: p.Policy}
@@ -455,13 +462,6 @@ func (s *System) SliceCache(l Level, slice int) *cache.Slice {
 
 // L1Cache returns core c's L1 for white-box tests.
 func (s *System) L1Cache(core int) *cache.Slice { return s.l1[core] }
-
-func (s *System) grouping(l Level) topology.Grouping {
-	if l == L2 {
-		return s.topo.L2
-	}
-	return s.topo.L3
-}
 
 // groupSliceMask returns the bitmask of slices in the group containing
 // `slice` at the level (precomputed per topology in applyTopology).

@@ -8,6 +8,7 @@ import "morphcache/internal/telemetry"
 // snapshots into per-epoch records, so it must be taken before
 // ResetFootprints clears the interval's demand.
 func (s *System) TelemetrySnapshot() telemetry.Snapshot {
+	s.readDemand("TelemetrySnapshot")
 	snap := telemetry.Snapshot{
 		Cores:  make([]telemetry.CoreCounters, s.p.Cores),
 		L2Util: make([]float64, s.p.Cores),

@@ -125,20 +125,45 @@ func (s *Stream) Zipf(n int, theta float64) int {
 		// equals u*u bit for bit on [0, 1) (see TestPowSquareExact), at a
 		// fraction of the cost.
 		r = u * u
+	case e == 4.0/3:
+		// theta 0.25, the warm-set skew.
+		return warmIndex(u, n, e)
 	case e > 1 && e <= 1.5:
-		// theta up to 1/3, the warm-set skew 0.25 among them: for these
-		// exponents math.Pow(u, e) computes exp((e-1)·log u) and scales it
-		// by the mantissa and exponent of u, a rescaling that is exact for
-		// normal results, so the product with u is the same float64 (see
-		// TestPowFractionalExact) without Pow's special-case tests and
-		// Frexp/Ldexp.
+		// theta up to 1/3: for these exponents math.Pow(u, e) computes
+		// exp((e-1)·log u) and scales it by the mantissa and exponent of u,
+		// a rescaling that is exact for normal results, so the product with
+		// u is the same float64 (see TestPowFractionalExact) without Pow's
+		// special-case tests and Frexp/Ldexp.
 		r = math.Exp((e-1)*math.Log(u)) * u
 	default:
 		r = math.Pow(u, e)
 	}
-	i := int(r * float64(n))
-	if i >= n {
-		i = n - 1
+	return scale(r, n)
+}
+
+// scale maps a rank in [0, 1] onto [0, n).
+func scale(r float64, n int) int {
+	return min(int(r*float64(n)), n-1)
+}
+
+// warmIndex is Zipf's index for theta 0.25, whose exponent e is the
+// float64 nearest 4/3. The exact index is that of the rank
+// math.Exp((e-1)*math.Log(u))*u, the exp-log form of math.Pow(u, e) Zipf
+// uses for theta up to 1/3. Only the index is observed, so warmIndex
+// floors x = Cbrt(u)*u*n instead whenever x lies more than
+// d = n·2^-40 + 2^-30 from an integer: Cbrt, Exp and Log are each within a
+// few ulps and e-1 is within 2^-53 of 1/3, so x is within about 1e-14·n
+// of the exact rank times n, far inside d, and both floor to the same
+// integer. Nearer an integer the exact rank decides; from n = 2^39 on d
+// reaches 1/2 and it always does (DESIGN.md §11, TestZipfCbrtIndexExact).
+func warmIndex(u float64, n int, e float64) int {
+	if n < 1<<39 {
+		x := math.Cbrt(u) * u * float64(n)
+		i := int(x)
+		d := float64(n)*0x1p-40 + 0x1p-30
+		if f := x - float64(i); f > d && f < 1-d {
+			return min(i, n-1)
+		}
 	}
-	return i
+	return scale(math.Exp((e-1)*math.Log(u))*u, n)
 }

@@ -56,6 +56,75 @@ func TestPowFractionalExact(t *testing.T) {
 	}
 }
 
+// TestZipfCbrtIndexExact backs warmIndex, Zipf's index for theta 0.25:
+// it must equal the index of the exp-log rank (the case
+// TestPowFractionalExact backs) on every draw. Random draws go through
+// Zipf for every range n; adversarial ones sit a few ulps either side of
+// the rank boundaries (k/n)^(3/4), where the cbrt estimate and the exact
+// rank can floor to different indices and the fallback has to decide.
+func TestZipfCbrtIndexExact(t *testing.T) {
+	theta := 0.25
+	e := 1 / (1 - theta)
+	ns := []int{1, 2, 3, 7, 1000, 4096, 16384, 1 << 20, 1 << 36, 1 << 40, 1 << 52}
+	draws := 10_000_000
+	if testing.Short() {
+		draws = 1_000_000
+	}
+	s := New(2026)
+	for i := 0; i < draws; i++ {
+		next := *s
+		u := s.Float64()
+		r := math.Exp((e-1)*math.Log(u)) * u
+		for _, n := range ns {
+			z := next
+			if got, want := z.Zipf(n, theta), scale(r, n); got != want {
+				t.Fatalf("draw %d, n %d: Zipf = %d, exact %d (u = %v)", i, n, got, want, u)
+			}
+		}
+	}
+
+	// Adversarial draws. split counts those whose cbrt estimate floors
+	// away from the exact index, near the draws the fallback decides: the
+	// test has teeth only if some exist.
+	split, near := 0, 0
+	pick := New(7)
+	for _, n := range ns {
+		ks := []int{n}
+		for k := 1; k < n && k <= 256; k++ {
+			ks = append(ks, k)
+		}
+		for j := 0; j < 256 && n > 256; j++ {
+			ks = append(ks, 1+pick.Intn(n-1))
+		}
+		for _, k := range ks {
+			u0 := math.Pow(float64(k)/float64(n), 0.75)
+			for _, dir := range []float64{0, 1} {
+				u := u0
+				for step := 0; step < 6; step++ {
+					if u < 1 {
+						want := scale(math.Exp((e-1)*math.Log(u))*u, n)
+						if got := warmIndex(u, n, e); got != want {
+							t.Fatalf("n %d, k %d, u %v: warmIndex = %d, exact %d", n, k, u, got, want)
+						}
+						x := math.Cbrt(u) * u * float64(n)
+						if min(int(x), n-1) != want {
+							split++
+						}
+						if f := x - math.Floor(x); f <= float64(n)*0x1p-40+0x1p-30 || f >= 1-float64(n)*0x1p-40-0x1p-30 {
+							near++
+						}
+					}
+					u = math.Nextafter(u, dir)
+				}
+			}
+		}
+	}
+	if split == 0 || near == 0 {
+		t.Fatalf("adversarial draws: %d split the cbrt floor from the exact index, %d near an integer; want both > 0", split, near)
+	}
+	t.Logf("adversarial draws: %d split, %d near an integer", split, near)
+}
+
 // zipfPinN is the range of the pinned draws. Scaling by 2^62 is exact and
 // keeps every mantissa bit of the rank above 2^-10 in the index, so a
 // one-ulp change in the computed rank moves the draw.

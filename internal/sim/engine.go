@@ -133,8 +133,13 @@ func (t *HierarchyTarget) TelemetrySnapshot() telemetry.Snapshot {
 
 // SetRecorder implements telemetry.RecorderSettable: the recorder is
 // forwarded to the policy (the MorphCache controller emits its
-// reconfiguration decisions through it; other policies ignore it).
+// reconfiguration decisions through it; other policies ignore it). The
+// epoch records carry every core's footprint, so a recorder also turns on
+// the hierarchy's demand tracking, which a static target starts without.
 func (t *HierarchyTarget) SetRecorder(r telemetry.Recorder) {
+	if r != nil {
+		t.Sys.SetDemandTracking(true)
+	}
 	if rs, ok := t.Policy.(telemetry.RecorderSettable); ok {
 		rs.SetRecorder(r)
 	}
@@ -294,7 +299,9 @@ func (e *Engine) Run() *metrics.Run {
 	lag := newLaggards(e.clock)
 
 	// Telemetry: inject the recorder into the target (so the policy can
-	// emit reconfiguration events) and baseline the cumulative counters.
+	// emit reconfiguration events and the hierarchy marks the demand the
+	// records report) before the first access, and baseline the cumulative
+	// counters.
 	var prevSnap telemetry.Snapshot
 	snapper, _ := e.target.(telemetry.Snapshotter)
 	if e.cfg.Recorder != nil {

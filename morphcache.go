@@ -322,7 +322,8 @@ func fromRun(r *metrics.Run) *Result {
 
 // NewTarget builds a fresh simulation target for the named policy: a
 // static "(x:y:z)" topology (remote-hit charging off, the paper's idealized
-// static latencies), "morph" or "morph-nodegrade" (the MorphCache
+// static latencies, and no reuse-demand marking unless a telemetry recorder
+// is attached: see hierarchy.System.SetDemandTracking), "morph" or "morph-nodegrade" (the MorphCache
 // controller with the given options, starting all-private with remote-hit
 // charging on, §2.2), "pipp", or "dsr". It is the only place a policy name
 // becomes a target: full runs, sampled windows, and bandit arms all build
@@ -357,6 +358,9 @@ func NewTarget(p hierarchy.Params, morph core.Options, policy string) (sim.Targe
 	if err != nil {
 		return nil, err
 	}
+	// A fixed topology reads no footprint; a telemetry recorder turns the
+	// marking back on (sim.HierarchyTarget.SetRecorder).
+	sys.SetDemandTracking(false)
 	return &sim.HierarchyTarget{Sys: sys, Policy: sim.NopPolicy{Label: policy}}, nil
 }
 

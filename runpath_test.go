@@ -2,11 +2,14 @@ package morphcache
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
 	"morphcache/internal/core"
+	"morphcache/internal/hierarchy"
 	"morphcache/internal/sim"
+	"morphcache/internal/topology"
 )
 
 // TestNewTargetStartState pins the start state every route inherits from
@@ -159,5 +162,73 @@ func sameRun(t *testing.T, route string, full, got *Result) {
 	}
 	if got.Reconfigurations != full.Reconfigurations {
 		t.Fatalf("%s: %d reconfigurations, full run %d", route, got.Reconfigurations, full.Reconfigurations)
+	}
+}
+
+// TestStaticDemandGate pins who marks reuse demand on a static topology:
+// a plain full run marks none and ends as it would with marking on; a run
+// with a recorder marks it, and its epoch records equal those of the same
+// topology built with tracking left on.
+func TestStaticDemandGate(t *testing.T) {
+	c := banditTestConfig()
+	w := Mix("MIX 01")
+	const spec = "(2:2:1)"
+	tracked := func() *sim.HierarchyTarget {
+		p := c.Params()
+		p.ChargeRemote = false
+		topo, err := topology.FromSpec(spec, p.Cores)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys, err := hierarchy.New(p, topo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &sim.HierarchyTarget{Sys: sys, Policy: sim.NopPolicy{Label: spec}}
+	}
+	gated := func() *sim.HierarchyTarget {
+		tgt, err := NewTarget(c.Params(), c.Morph, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tgt.(*sim.HierarchyTarget)
+	}
+	runOn := func(c Config, tgt *sim.HierarchyTarget) *Result {
+		res, err := runFull(c, tgt, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+
+	plain, ref := gated(), tracked()
+	got, want := runOn(c, plain), runOn(c, ref)
+	if n := plain.Sys.DemandTables(); n != 0 {
+		t.Fatalf("static full run marked demand in %d tables", n)
+	}
+	if ref.Sys.DemandTables() == 0 {
+		t.Fatal("tracked run marked no demand")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("marking changed the run: %+v vs %+v", got, want)
+	}
+
+	c.Telemetry = true
+	recorded := gated()
+	got, want = runOn(c, recorded), runOn(c, tracked())
+	if recorded.Sys.DemandTables() == 0 {
+		t.Fatal("recorder did not turn demand tracking on")
+	}
+	util := 0.0
+	for _, e := range want.Telemetry.Epochs {
+		for _, ce := range e.Cores {
+			util += ce.L2Util + ce.L3Util
+		}
+	}
+	if util == 0 {
+		t.Fatal("reference records carry no footprint")
+	}
+	if !reflect.DeepEqual(got.Telemetry, want.Telemetry) {
+		t.Fatal("epoch records of the gated target differ from the tracked one")
 	}
 }
